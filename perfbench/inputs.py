@@ -22,6 +22,8 @@ __all__ = ["planes", "train_test", "write_libsvm"]
 
 #: Streams of one seed: the hyperplane, the training set, the test set.
 _PLANE, _TRAIN, _TEST = 0, 1, 2
+#: Cluster offset from the hyperplane, cluster spread, flipped labels.
+SEP, STD, FLIP = 1.3, 0.7, 0.01
 
 
 def _normal(seed: int, d: int) -> np.ndarray:
@@ -29,39 +31,31 @@ def _normal(seed: int, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def planes(
-    seed: int,
-    stream: int,
-    m: int,
-    d: int,
-    *,
-    sep: float = 1.3,
-    std: float = 0.7,
-    flip: float = 0.01,
-) -> Tuple[np.ndarray, np.ndarray]:
+def planes(seed: int, stream: int, m: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """``m`` points in ``d`` dimensions with labels in {-1, +1}.
 
-    Half the points sit around ``+sep * n`` and half around ``-sep * n``
-    for the seed's unit normal ``n``; ``flip`` of the labels are then
-    flipped at random. Rows are shuffled so a prefix is a fair sample.
+    Half the points sit around ``+SEP * n`` and half around ``-SEP * n``
+    for the seed's unit normal ``n``, with spread ``STD``; a share
+    ``FLIP`` of the labels are then flipped at random. Rows are shuffled
+    so a prefix is a fair sample.
     """
     if m < 2 or d < 1:
         raise ValueError(f"planes needs m >= 2 and d >= 1, got m={m}, d={d}")
     rng = np.random.default_rng([seed, stream])
     y = np.where(np.arange(m) < m // 2, 1.0, -1.0)
-    X = rng.standard_normal((m, d)) * std + np.outer(y * sep, _normal(seed, d))
-    flipped = rng.random(m) < flip
+    X = rng.standard_normal((m, d)) * STD + np.outer(y * SEP, _normal(seed, d))
+    flipped = rng.random(m) < FLIP
     y = np.where(flipped, -y, y)
     order = rng.permutation(m)
     return X[order], y[order]
 
 
 def train_test(
-    seed: int, m_train: int, m_test: int, d: int, **kw
+    seed: int, m_train: int, m_test: int, d: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Training and held-out sets drawn from one seed's hyperplane."""
-    X, y = planes(seed, _TRAIN, m_train, d, **kw)
-    Xt, yt = planes(seed, _TEST, m_test, d, **kw)
+    X, y = planes(seed, _TRAIN, m_train, d)
+    Xt, yt = planes(seed, _TEST, m_test, d)
     return X, y, Xt, yt
 
 

@@ -28,7 +28,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("fit_rbf_recompute", "file_rbf_cached", "serve_http")
 #: Set-up repeats in child processes, on top of the run's own set-up.
-SETUP_REPEATS = 2
+SETUP_REPEATS = 4
 
 # Per-layer metrics that a workload does not exercise, and why.
 NOT_APPLICABLE = {

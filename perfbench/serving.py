@@ -22,7 +22,6 @@ counts as a failed request.
 from __future__ import annotations
 
 import gc
-import http.client
 import itertools
 import json
 import select
@@ -64,6 +63,9 @@ LIMIT_MS = 200.0
 #: exceeds that of its first third by more than this (ms).
 BACKLOG_MS = 5.0
 KEEPALIVE_S = 3.0
+#: Pause of a keep-alive client after a failed request, so a server that
+#: is gone yields a bounded list of failed attempts, not a busy loop.
+RETRY_S = 0.01
 WARMUP_REQUESTS = 200
 
 
@@ -111,12 +113,14 @@ class Server:
         return 0.0
 
     def metrics(self) -> dict:
-        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
-        try:
-            conn.request("GET", "/metrics")
-            return json.loads(conn.getresponse().read())
-        finally:
-            conn.close()
+        with _connect(self.port) as sock:
+            status, body = _exchange(sock, b"GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+        if status != 200:
+            raise RuntimeError(f"/metrics answered {status}")
+        return json.loads(body)
+
+    def alive(self) -> bool:
+        return self.proc.poll() is None
 
     def stop(self) -> None:
         if self.proc.poll() is None:
@@ -142,9 +146,11 @@ def _request(body: bytes) -> bytes:
 def _exchange(sock: socket.socket, request: bytes):
     """Send one request; return ``(status, body)`` of the response.
 
-    A minimal HTTP/1.1 client: one ``sendall`` for the whole request and
-    just enough parsing to find the status and the body's length, so the
-    generator spends little time holding the interpreter lock.
+    The benchmark's only HTTP client: one ``sendall`` for the whole
+    request and just enough parsing to find the status and the body's
+    length. Against ``http.client`` it spends 0.41 instead of 0.69 ms of
+    the generator's CPU per request and reads p50 at 100 requests/s
+    0.29 ms lower (see README.md), time that is not the server's.
     """
     sock.sendall(request)
     buf = b""
@@ -258,7 +264,9 @@ def open_loop(port: int, prep: dict, rate: float, n: int, rng: np.random.Generat
     for t in threads:
         t.join()
     parsed = []
-    for i, (sent, done, status, payload) in enumerate(results):
+    for i, result in enumerate(results):
+        # A request no worker got to (a worker died) is an unsent failure.
+        sent, done, status, payload = result or (due[i], due[i], -1, b"")
         r = _parse(int(picks[i]), status, payload)
         r.update(due=due[i], sent=sent, done=done)
         parsed.append(r)
@@ -267,13 +275,20 @@ def open_loop(port: int, prep: dict, rate: float, n: int, rng: np.random.Generat
 
 
 def closed_loop(port: int, prep: dict, duration: float) -> dict:
-    """Two keep-alive clients sending back to back for ``duration`` s."""
+    """Two keep-alive clients sending back to back for ``duration`` s.
+
+    Every attempt is recorded, including one whose connection could not
+    be opened (status -1); after a failure the client pauses for
+    ``RETRY_S`` and reconnects. A client thread that ends before
+    ``duration`` is used up is reported in ``aborted``.
+    """
     start = time.perf_counter()
     stop_at = start + duration
     per_client: List[List[dict]] = [[], []]
+    finished = [False, False]
 
     def client(j: int) -> None:
-        sock = _connect(port)
+        sock = None
         i = j
         try:
             while time.perf_counter() < stop_at:
@@ -282,13 +297,19 @@ def closed_loop(port: int, prep: dict, duration: float) -> dict:
                 sent = time.perf_counter()
                 status, payload = -1, b""
                 try:
+                    if sock is None:
+                        sock = _connect(port)
                     status, payload = _exchange(sock, prep["bodies"][k])
                 except (OSError, ValueError, IndexError):
-                    sock.close()
-                    sock = _connect(port)
+                    if sock is not None:
+                        sock.close()
+                    sock = None
+                    time.sleep(RETRY_S)
                 per_client[j].append((k, sent, time.perf_counter(), status, payload))
+            finished[j] = True
         finally:
-            sock.close()
+            if sock is not None:
+                sock.close()
 
     threads = [threading.Thread(target=client, args=(j,)) for j in range(2)]
     for t in threads:
@@ -306,6 +327,7 @@ def closed_loop(port: int, prep: dict, duration: float) -> dict:
     return dict(
         sent=len(results),
         ok=len(ok),
+        aborted=finished.count(False),
         rps=len(ok) / (end - start) if ok else 0.0,
         overhead=[(r["done"] - r["sent"] - r["seconds"]) * 1e3 for r in ok],
     )
@@ -385,15 +407,14 @@ def run(seed: int, seconds: float, trace: bool, work: Path, out: Outcome, t_star
                 break
         remaining = seconds - (time.perf_counter() - phase_start)
         keep = closed_loop(server.port, prep, max(KEEPALIVE_S, remaining))
-        out.attempted += keep["sent"]
-        out.failed += keep["sent"] - keep["ok"]
-        rss = server.peak_rss_mb()
+        alive = server.alive()
+        rss = server.peak_rss_mb() if alive else None
     finally:
         server.stop()
     first = steps[0]
     for s in steps:
         out.check("open-loop responses", s["failed"] == 0, "every 200 response equals offline decision_function")
-    out.check("keep-alive responses", keep["sent"] == keep["ok"], "every 200 response equals offline decision_function")
+    _count_keepalive(keep, alive, out)
     if first["p50_ms"] is not None:
         out.metric("serve_p50_ms", first["p50_ms"], "ms", n=first["n"])
     if first["p99_ms"] is not None:
@@ -405,7 +426,21 @@ def run(seed: int, seconds: float, trace: bool, work: Path, out: Outcome, t_star
         out.metric("serve_capacity_rps", best["rate"], "1/s", n=best["n"])
     out.note(f"capacity limit: p99 <= {LIMIT_MS:g} ms without a growing backlog")
     out.metric("serve_keepalive_rps", keep["rps"], "1/s", n=keep["sent"])
-    out.metric("peak_rss_mb", rss, "MB")
+    if rss is not None:
+        out.metric("peak_rss_mb", rss, "MB")
+
+
+def _count_keepalive(keep: dict, alive: bool, out: Outcome) -> None:
+    """Count phase (b) in the run's operations and record its checks.
+
+    A client thread that ended early counts as one more failed operation,
+    and a server that is gone after the phase fails the run.
+    """
+    out.attempted += keep["sent"] + keep["aborted"]
+    out.failed += keep["sent"] - keep["ok"] + keep["aborted"]
+    out.check("keep-alive responses", keep["sent"] == keep["ok"], "every 200 response equals offline decision_function")
+    out.check("keep-alive clients", keep["aborted"] == 0, "both clients sent until the phase ended")
+    out.check("server alive", alive, "plssvm-serve still running after the keep-alive phase")
 
 
 def _fmt(v) -> str:
@@ -429,13 +464,14 @@ def _run_traced(seed: int, seconds: float, work: Path, out: Outcome, t_start: fl
             step = step_summary(LADDER[0], open_loop(server.port, prep, LADDER[0], STEP_REQUESTS, rng))
             m1 = server.metrics()
             keep = closed_loop(server.port, prep, keep_s)
-            m2 = server.metrics()
+            alive = server.alive()
+            m2 = server.metrics() if alive else m1
         finally:
             server.stop()
-        out.attempted += STEP_REQUESTS + keep["sent"]
-        out.failed += step["failed"] + keep["sent"] - keep["ok"]
+        out.attempted += STEP_REQUESTS
+        out.failed += step["failed"]
         out.check("open-loop responses", step["failed"] == 0, "every 200 response equals offline decision_function")
-        out.check("keep-alive responses", keep["sent"] == keep["ok"], "every 200 response equals offline decision_function")
+        _count_keepalive(keep, alive, out)
         phases[traced] = dict(step=step, keep=keep, m=(m0, m1, m2))
     _serve_layers(phases, work / "server-spans.json", out)
 

@@ -1,8 +1,9 @@
 """Run one workload over several seeds and report each metric's spread.
 
-    python3 perfbench/spread.py --workload serve_http --seeds 1-10 [--seconds 30]
+    python3 perfbench/spread.py --workload serve_http --seeds 1-10
 
-For every end-to-end metric prints the median over the runs and the
+Each run measures for ``run_seconds`` of ``BENCHMARK.json``. For every
+end-to-end metric prints the median over the runs and the
 inter-quartile range as a share of that median (Python's
 ``statistics.quantiles(values, n=4)``), next to the metric's bound from
 ``BENCHMARK.json``. A spread at or above a third of the bound is flagged.
@@ -32,10 +33,9 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", type=int, default=None)
     args = p.parse_args()
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or manifest["run_seconds"]
+    seconds = manifest["run_seconds"]
     log = ROOT / ".perfbench" / f"spread-{args.workload}.jsonl"
     log.parent.mkdir(exist_ok=True)
     runs = []

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -22,6 +23,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 import inputs  # noqa: E402
 import serving  # noqa: E402
 import stats  # noqa: E402
+from outcome import Outcome  # noqa: E402
 
 
 class TestPercentile:
@@ -163,6 +165,13 @@ def _prep(rows=8):
     return dict(offline=_FakeModel(), pool=pool, bodies=bodies)
 
 
+def _closed_port() -> int:
+    """A local port that nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
 class TestOpenLoop:
     def test_latency_counts_from_due_time_and_lateness_is_reported(self, stalling_server):
         # Two connections; the first two requests stall for 150 ms, so
@@ -183,6 +192,11 @@ class TestOpenLoop:
         lat = sorted((r["done"] - r["due"]) * 1e3 for r in results)
         assert s["p50_ms"] == lat[9]
 
+    def test_refused_requests_are_counted_as_failed(self):
+        results = serving.open_loop(_closed_port(), _prep(), 200.0, 20, np.random.default_rng(0))
+        assert len(results) == 20 and not any(r["ok"] for r in results)
+        assert serving.step_summary(200.0, results)["failed"] == 20
+
     def test_step_summary_counts_failures_as_missing_every_limit(self):
         base = dict(due=0.0, sent=0.0, done=0.004, seconds=0.002)
         results = [dict(base, ok=True) for _ in range(989)] + [dict(base, ok=False)] * 11
@@ -190,6 +204,27 @@ class TestOpenLoop:
         assert s["failed"] == 11
         assert s["p99_ms"] == float("inf")
         assert s["late_p99_ms"] == 0.0
+
+
+class TestClosedLoop:
+    def test_every_attempt_is_counted_when_no_server_answers(self):
+        # Every connect is refused, and each refused attempt is recorded
+        # as a failed request.
+        keep = serving.closed_loop(_closed_port(), _prep(), 0.2)
+        assert keep["sent"] >= 2 and keep["ok"] == 0
+        assert keep["aborted"] == 0 and keep["rps"] == 0.0
+
+    def test_keep_alive_responses_pass(self, stalling_server):
+        keep = serving.closed_loop(stalling_server, _prep(), 0.5)
+        assert keep["sent"] == keep["ok"] > 2 and keep["aborted"] == 0
+
+    def test_dead_server_or_aborted_client_fails_the_run(self):
+        out = Outcome()
+        serving._count_keepalive(dict(sent=10, ok=10, aborted=1), True, out)
+        assert (out.attempted, out.failed) == (11, 1) and not out.correct
+        out = Outcome()
+        serving._count_keepalive(dict(sent=10, ok=10, aborted=0), False, out)
+        assert out.failed == 0 and not out.correct
 
 
 class TestVerify:
