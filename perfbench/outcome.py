@@ -53,19 +53,20 @@ class Outcome:
         out.append(f"operations: {self.attempted} attempted, {self.failed} failed")
         return out
 
+    def unmeasured(self, names: List[str]) -> List[str]:
+        """Those of ``names`` without a finite value (too many failures)."""
+        return [k for k in names if not math.isfinite(self.metrics.get(k, {}).get("value", math.nan))]
+
     def result(self, names: List[str]) -> dict:
         """The final JSON object, restricted to ``names`` in that order.
 
-        A metric that could not be measured (infinite because too many
-        requests failed) is left out; the failures show in ``failed``.
+        Every name must have been measured (see ``unmeasured``).
         """
         return {
             "correct": self.correct,
             "attempted": self.attempted,
             "failed": self.failed,
             "metrics": {
-                k: {"value": self.metrics[k]["value"], "unit": self.metrics[k]["unit"]}
-                for k in names
-                if k in self.metrics and math.isfinite(self.metrics[k]["value"])
+                k: {"value": self.metrics[k]["value"], "unit": self.metrics[k]["unit"]} for k in names
             },
         }

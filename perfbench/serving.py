@@ -1,8 +1,9 @@
 """The ``serve_http`` workload: ``plssvm-serve`` under single-row traffic.
 
 The server runs with its default flags in a child process and serves an
-RBF model trained in set-up. The load comes from this process, with at
-most two threads and at most two connections open at once:
+RBF model trained in set-up through plssvm-train's functions (read the
+LIBSVM file, fit, save the model). The load comes from this process,
+with at most two threads and at most two connections open at once:
 
 (a) open loop: Poisson arrivals at a rate ladder that doubles from
     100 requests/s, one new connection per request (as curl and urllib
@@ -12,11 +13,21 @@ most two threads and at most two connections open at once:
     at least 1000 samples.
 (b) closed loop: two keep-alive clients sending back to back. Every
     request on a kept-alive connection waits alike here, so this phase
-    is reported as throughput.
+    is reported as throughput and median latency.
+
+The gated latency, ``predict_p50_ms``, comes from phase (b): phase (a)'s
+p50 passes through five thread hand-offs per request, and its
+non-waiting part grew two- to threefold whenever the VM's neighbours
+took its CPUs, so it is printed (``serve_p50_ms``) but not gated; see
+README.md.
 
 Every 200 response's decision value must equal the offline
 ``decision_function`` of the served model file; any other outcome
 counts as a failed request.
+
+The served model's read, fit and save is timed as ``train_s``: it is
+repeated while the server idles, before each ladder step and after the
+keep-alive phase, and each fit is checked like a training workload's.
 """
 
 from __future__ import annotations
@@ -38,9 +49,11 @@ import numpy as np
 
 from repro.core import model as model_mod
 from repro.core.lssvm import LSSVC
+from repro.io import libsvm_format
 
 import inputs
 import stats
+import training
 from outcome import Outcome
 
 #: Served model: an RBF LS-SVM on planes data, small enough to train in
@@ -67,17 +80,60 @@ KEEPALIVE_S = 3.0
 #: is gone yields a bounded list of failed attempts, not a busy loop.
 RETRY_S = 0.01
 WARMUP_REQUESTS = 200
+#: Timed read-fit-save repeats of the served model in each pause of the
+#: load. One takes about 0.3 s, mostly pure-Python parsing and
+#: formatting, whose speed drifts over a run; pauses spread across the
+#: run let the median average over that drift.
+TRAIN_PER_PAUSE = 5
 
 
 def prepare(seed: int, work: Path) -> dict:
     """Train and save the served model; build the request pool."""
     work.mkdir(parents=True, exist_ok=True)
-    X, y, pool, _ = inputs.train_test(seed, MODEL["m"], POOL_ROWS, MODEL["d"])
-    clf = LSSVC(kernel="rbf", C=MODEL["C"]).fit(X, y)
+    X, y, pool, pool_y = inputs.train_test(seed, MODEL["m"], POOL_ROWS, MODEL["d"])
+    train_file = work / "served.libsvm"
+    inputs.write_libsvm(train_file, X, y)
     path = work / "served.model"
-    model_mod.save_model(clf.model_, path)
+    train(train_file, path)
     bodies = [_request(json.dumps({"row": row.tolist()}).encode()) for row in pool]
-    return dict(model=path, offline=model_mod.load_model(path), pool=pool, bodies=bodies)
+    return dict(
+        model=path, offline=model_mod.load_model(path), pool=pool, pool_y=pool_y, bodies=bodies,
+        train_file=train_file, X=X, y=y, train_s=[],
+    )
+
+
+def train(train_file: Path, model_file: Path):
+    """plssvm-train's path for the served model; returns it and the seconds taken."""
+    t0 = time.perf_counter()
+    X, y = libsvm_format.read_libsvm_file(train_file)
+    clf = LSSVC(kernel="rbf", C=MODEL["C"]).fit(X, y)
+    model_mod.save_model(clf.model_, model_file)
+    return clf, time.perf_counter() - t0
+
+
+def _train_pause(prep: dict, work: Path, out: Outcome) -> None:
+    """``TRAIN_PER_PAUSE`` timed trainings of the served model, each checked.
+
+    Each fit is one operation; the seconds of those that pass go to
+    ``prep["train_s"]``. The generator's heap is collected and frozen
+    again afterwards, so the fits' garbage cannot stall the next sends.
+    """
+    for _ in range(TRAIN_PER_PAUSE):
+        gc.collect()
+        out.attempted += 1
+        try:
+            clf, seconds = train(prep["train_file"], work / "retrained.model")
+            ok, _ = training.check_fit(
+                clf, prep["X"], prep["y"], MODEL["C"], clf.predict(prep["pool"]), prep["pool_y"], out
+            )
+        except Exception as exc:  # a failed fit counts; the run goes on
+            ok = out.check("served-model fit completed", False, repr(exc))
+        if ok:
+            prep["train_s"].append(seconds)
+        else:
+            out.failed += 1
+    gc.collect()
+    gc.freeze()
 
 
 class Server:
@@ -329,7 +385,10 @@ def closed_loop(port: int, prep: dict, duration: float) -> dict:
         ok=len(ok),
         aborted=finished.count(False),
         rps=len(ok) / (end - start) if ok else 0.0,
+        # A failed request counts as infinitely slow.
+        latency=[(r["done"] - r["sent"]) * 1e3 if r["ok"] else float("inf") for r in results],
         overhead=[(r["done"] - r["sent"] - r["seconds"]) * 1e3 for r in ok],
+        answered=ok,
     )
 
 
@@ -359,6 +418,7 @@ def step_summary(rate: float, results: List[dict]) -> dict:
         overhead=overhead,
         start=min(r["due"] for r in results),
         end=max(r["done"] for r in results),
+        results=results,
     )
 
 
@@ -392,6 +452,7 @@ def run(seed: int, seconds: float, trace: bool, work: Path, out: Outcome, t_star
         phase_start = time.perf_counter()
         steps = []
         for k, rate in enumerate(LADDER):
+            _train_pause(prep, work, out)
             rng = np.random.default_rng([seed, 100 + k])
             n = FIRST_STEP_REQUESTS if k == 0 else STEP_REQUESTS
             s = step_summary(rate, open_loop(server.port, prep, rate, n, rng))
@@ -415,17 +476,30 @@ def run(seed: int, seconds: float, trace: bool, work: Path, out: Outcome, t_star
     for s in steps:
         out.check("open-loop responses", s["failed"] == 0, "every 200 response equals offline decision_function")
     _count_keepalive(keep, alive, out)
+    _train_pause(prep, work, out)
+    train_s = prep["train_s"]
+    if train_s:
+        out.metric("train_s", stats.median(train_s), "s", n=len(train_s))
+    out.note("train_s samples: " + " ".join(f"{v:.3f}" for v in train_s))
+    if keep["ok"]:
+        out.metric("predict_rows_per_s", keep["rps"], "rows/s", n=keep["sent"])
+    p50, n = stats.percentile(keep["latency"], 50)
+    if p50 is not None:
+        out.metric("predict_p50_ms", p50, "ms", n=n)
+    # Printed, not gated: see README.md for their measured spread.
     if first["p50_ms"] is not None:
         out.metric("serve_p50_ms", first["p50_ms"], "ms", n=first["n"])
     if first["p99_ms"] is not None:
-        # Printed, not gated: see README.md for its measured spread.
         out.metric("serve_p99_ms", first["p99_ms"], "ms", n=first["n"])
     best = stats.capacity(steps, LIMIT_MS)
     if best is not None:
         # Printed, not gated: see README.md for how it flips between steps.
         out.metric("serve_capacity_rps", best["rate"], "1/s", n=best["n"])
     out.note(f"capacity limit: p99 <= {LIMIT_MS:g} ms without a growing backlog")
-    out.metric("serve_keepalive_rps", keep["rps"], "1/s", n=keep["sent"])
+    answered = [r for s in steps for r in s["results"] if r["ok"]] + keep["answered"]
+    right = sum(r["labels"] == [prep["pool_y"][r["k"]]] for r in answered)
+    if answered:
+        out.metric("test_accuracy", right / len(answered), "ratio", n=len(answered))
     if rss is not None:
         out.metric("peak_rss_mb", rss, "MB")
 

@@ -43,6 +43,9 @@ def main() -> int:
         cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
+        if proc.returncode != 0:
+            print(f"seed {seed}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", flush=True)
+            continue
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         runs.append(result)
         with log.open("a") as f:

@@ -227,6 +227,15 @@ class TestClosedLoop:
         assert out.failed == 0 and not out.correct
 
 
+class TestOutcome:
+    def test_missing_or_infinite_metrics_are_unmeasured(self):
+        out = Outcome()
+        out.metric("a", 1.0, "s")
+        out.metric("b", float("inf"), "ms")
+        assert out.unmeasured(["a", "b", "c"]) == ["b", "c"]
+        assert out.result(["a"])["metrics"] == {"a": {"value": 1.0, "unit": "s"}}
+
+
 class TestVerify:
     def _response(self, k, value, batch, rows):
         return dict(k=k, status=200, ok=False, values=[value], labels=[1.0 if value >= 0 else -1.0], batch=batch, batch_rows=rows)

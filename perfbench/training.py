@@ -23,6 +23,10 @@ C is chosen so that CG takes the same number of iterations on every
 seed (8 on fit_rbf_recompute, one seed in fourteen takes 7; 10 on
 file_rbf_cached): with larger C the count flips between seeds (11 or 13
 at C=0.1), and train_s would spread by seed rather than by the program.
+
+Each round ends with ``ROW_PREDICTS`` one-row predictions through the
+same entry point as the round's batch prediction, the latency an
+application embedding the fitted model sees per request.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from repro.core import model as model_mod
@@ -61,6 +65,8 @@ ACCURACY_FLOOR = 0.93
 #: ε on a right-hand side at most √2 times the norm of y (see
 #: ``stats.lssvm_residual``), so 2ε leaves room only for rounding.
 RESIDUAL_TOL = 2 * EPSILON
+#: One-row predictions per round; each takes about 0.1-0.2 ms here.
+ROW_PREDICTS = 500
 
 
 def prepare(workload: str, seed: int, work: Path) -> dict:
@@ -92,6 +98,8 @@ class _Round:
         self.values: Optional[np.ndarray] = None
         self.accuracy = 0.0
         self.peak_mb = 0.0
+        self.row_ms: List[float] = []
+        self.row_labels: Optional[np.ndarray] = None
 
 
 def _round_in_memory(data: dict, tracer) -> _Round:
@@ -105,6 +113,8 @@ def _round_in_memory(data: dict, tracer) -> _Round:
         with _span(tracer, "predict"):
             labels = clf.predict(data["Xt"])
         t2 = time.perf_counter()
+        with _span(tracer, "predict_row"):
+            r.row_ms, r.row_labels = _one_row(clf.predict, data["Xt"])
     r.peak_mb = _peak_mb()
     r.train_s, r.predict_s, r.rows = t1 - t0, t2 - t1, len(labels)
     r.clf, r.X, r.y, r.labels = clf, data["X"], data["y"], labels
@@ -128,12 +138,26 @@ def _round_files(data: dict, tracer) -> _Round:
             Xt, _ = libsvm_format.read_libsvm_file(
                 data["test_file"], num_features=model.num_features
             )
-            labels, values = PredictionEngine(model).evaluate(Xt)
+            engine = PredictionEngine(model)
+            labels, values = engine.evaluate(Xt)
         t2 = time.perf_counter()
+        with _span(tracer, "predict_row"):
+            r.row_ms, r.row_labels = _one_row(lambda row: engine.evaluate(row)[0], Xt)
     r.peak_mb = _peak_mb()
     r.train_s, r.predict_s, r.rows = t1 - t0, t2 - t1, len(labels)
     r.clf, r.X, r.y, r.labels, r.values = clf, X, y, labels, values
     return r
+
+
+def _one_row(predict: Callable, Xt: np.ndarray) -> Tuple[List[float], np.ndarray]:
+    """Latency (ms) and label of ``predict`` on each of the first rows of ``Xt``."""
+    ms, labels = [], []
+    for i in range(ROW_PREDICTS):
+        t = time.perf_counter()
+        label = predict(Xt[i : i + 1])
+        ms.append((time.perf_counter() - t) * 1e3)
+        labels.append(label[0])
+    return ms, np.asarray(labels)
 
 
 def _peak_mb() -> float:
@@ -152,20 +176,33 @@ def _span(tracer, name: str):
     return tracer.span(name, tracer.new_rid() if name == "round" else None)
 
 
-def _check(workload: str, data: dict, r: _Round, out: Outcome) -> bool:
-    """Every check of one round; returns whether all passed."""
-    model = r.clf.model_
+def check_fit(clf, X, y, C: float, labels, y_true, out: Outcome) -> Tuple[bool, float]:
+    """Optimality residual and held-out accuracy of one fit.
+
+    Returns whether both passed and the accuracy of ``labels`` against
+    ``y_true``.
+    """
+    model = clf.model_
     # The model's multipliers solve for labels mapped to ±1 with its
     # first label as +1.
-    y_internal = np.where(r.y == model.labels[0], 1.0, -1.0)
-    res = stats.lssvm_residual(
-        r.X, y_internal, model.alpha, model.bias, model.param.gamma, data["C"], block=256
-    )
-    acc = float(np.mean(r.labels == data["yt"]))
+    y_internal = np.where(y == model.labels[0], 1.0, -1.0)
+    res = stats.lssvm_residual(X, y_internal, model.alpha, model.bias, model.param.gamma, C, block=256)
+    acc = float(np.mean(labels == y_true))
     ok = out.check("optimality residual", res <= RESIDUAL_TOL, f"{res:.3e} <= {RESIDUAL_TOL:.1e}")
     ok &= out.check("held-out accuracy", acc >= ACCURACY_FLOOR, f"{acc:.4f} >= {ACCURACY_FLOOR}")
+    return ok, acc
+
+
+def _check(workload: str, data: dict, r: _Round, out: Outcome) -> bool:
+    """Every check of one round; returns whether all passed."""
+    ok, acc = check_fit(r.clf, r.X, r.y, data["C"], r.labels, data["yt"], out)
+    ok &= out.check(
+        "one-row predictions",
+        np.array_equal(r.row_labels, r.labels[:ROW_PREDICTS]),
+        "each one-row label equals the batch prediction's label of that row",
+    )
     if workload == "file_rbf_cached":
-        labels, values = PredictionEngine(model).evaluate(data["Xt"])
+        labels, values = PredictionEngine(r.clf.model_).evaluate(data["Xt"])
         same = bool(np.array_equal(values, r.values) and np.array_equal(labels, r.labels))
         ok &= out.check(
             "save/load round trip", same, "loaded model predicts identically to the fitted one"
@@ -234,6 +271,9 @@ def _end_to_end(rounds: List[_Round], out: Outcome) -> None:
     rate = [r.rows / r.predict_s for r in rounds]
     out.metric("train_s", stats.median(train), "s", n=len(train))
     out.metric("predict_rows_per_s", stats.median(rate), "rows/s", n=len(rate))
+    p50, n = stats.percentile([ms for r in rounds for ms in r.row_ms], 50)
+    if p50 is not None:
+        out.metric("predict_p50_ms", p50, "ms", n=n)
     out.metric("test_accuracy", stats.median([r.accuracy for r in rounds]), "ratio", n=len(rounds))
     out.metric("peak_rss_mb", stats.median([r.peak_mb for r in rounds]), "MB", n=len(rounds))
     out.note("train_s samples: " + " ".join(f"{v:.3f}" for v in train))
