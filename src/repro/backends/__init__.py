@@ -18,7 +18,7 @@ from .cuda import CUDACSVM
 from .device_qmatrix import DeviceQMatrix
 from .kernels import KernelConfig
 from .opencl import OpenCLCSVM
-from .openmp import OpenMPCSVM, ThreadedQMatrix
+from .openmp import OpenMPCSVM
 from .soa import SoAMatrix, transform_to_soa
 from .sycl import SYCLCSVM
 
@@ -29,7 +29,6 @@ __all__ = [
     "OpenCLCSVM",
     "OpenMPCSVM",
     "SYCLCSVM",
-    "ThreadedQMatrix",
     "DeviceQMatrix",
     "KernelConfig",
     "SoAMatrix",

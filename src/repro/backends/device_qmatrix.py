@@ -13,7 +13,9 @@ choreography of the C++ backends:
 * each CG matvec charges one blocked implicit-matvec kernel per device plus
   the BLAS-1 vector-update kernel; under multi-GPU execution the per-device
   partial results travel back over PCIe and are summed on the host
-  (§III-C5: no direct GPU-to-GPU communication);
+  (§III-C5: no direct GPU-to-GPU communication). The non-linear kernels'
+  arithmetic is the host :class:`repro.core.tile_pipeline.TilePipeline`;
+  only the charges are device-specific;
 * teardown charges the final solution write-back.
 
 The per-device clocks therefore advance exactly as often and by as much as
@@ -28,6 +30,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.qmatrix import QMatrixBase
+from ..core.tile_pipeline import TilePipeline
 from ..exceptions import DeviceError, DeviceLostError
 from ..parallel.partition import feature_split
 from ..parallel.reduction import sum_partials
@@ -55,7 +58,8 @@ class DeviceQMatrix(QMatrixBase):
     config:
         Blocked-kernel tuning knobs; also drives the cost accounting.
     tile_rows:
-        Host-side row tiling for the non-linear kernels (memory bound).
+        Row-tile height of the host tile pipeline that does the non-linear
+        kernels' arithmetic (memory bound).
     feature_ranges:
         Optional explicit feature slices per device, overriding the default
         equal split — the heterogeneous backend passes throughput-weighted
@@ -85,6 +89,18 @@ class DeviceQMatrix(QMatrixBase):
         self.devices: List[SimulatedDevice] = list(devices)
         self.config = config or KernelConfig()
         self.tile_rows = int(tile_rows)
+        # The modeled device recomputes every tile in every matvec, and so
+        # does its host arithmetic: no tile cache.
+        self.pipeline: Optional[TilePipeline] = None
+        if self.param.kernel is not KernelType.LINEAR:
+            self.pipeline = TilePipeline(
+                self.X_bar,
+                self.param.kernel,
+                **self.param.kernel_kwargs(),
+                tile_rows=self.tile_rows,
+                cache_mb=0.0,
+                dtype=self.dtype,
+            )
         # The paper's single template parameter: FP32 halves every byte
         # count and runs on the single precision pipeline.
         self._value_bytes = int(self.param.dtype.itemsize)
@@ -230,15 +246,7 @@ class DeviceQMatrix(QMatrixBase):
                 return partials[0]
             return sum_partials(partials)
         # Non-linear kernels: single device, host-tiled evaluation.
-        from ..core.kernels import kernel_matrix_tiles
-
-        out = np.empty_like(v)
-        kw = self.param.kernel_kwargs()
-        for rows, tile in kernel_matrix_tiles(
-            self.X_bar, self.X_bar, self.param.kernel, tile_rows=self.tile_rows, **kw
-        ):
-            out[rows] = tile @ v
-        return out
+        return self.pipeline.sweep(v)
 
     # -- lifecycle / reporting -----------------------------------------------------
 

@@ -19,9 +19,10 @@ possible:
 The non-linear kernels distribute by *samples* (the out-of-core
 row-shard scheme): each node owns a row-shard of the data and its slice
 of ``v``, and per matvec streams every row tile of ``X_bar`` against its
-own columns, producing a full-length partial product. The partials
-genuinely overlap, so combining them is a true ``n``-length allreduce —
-the per-iteration streaming the linear Gram factorization avoids, now
+own columns, producing a full-length partial product (computed by the
+host tile pipeline over the node's shard). The partials genuinely
+overlap, so combining them is a true ``n``-length allreduce — the
+per-iteration streaming the linear Gram factorization avoids, now
 delivered with its modeled cost (every foreign tile is charged as
 inter-node traffic, every tile evaluation as GPU kernel time split
 feature-wise over the node's devices).
@@ -38,6 +39,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..core.qmatrix import QMatrixBase
+from ..core.tile_pipeline import TilePipeline
 from ..exceptions import DataError, DeviceError, DeviceLostError
 from ..parallel.mpi_sim import NetworkSpec, SimCommunicator
 from ..parallel.partition import BlockRange, chunk_ranges, feature_split
@@ -136,6 +138,23 @@ class MultiNodeQMatrix(QMatrixBase):
             self.nodes.append(devices)
             self._node_data.append(slabs)
             self._node_soa.append(soa)
+        # Non-linear kernels: node k's partial K[:, rows_k] @ v[rows_k] is a
+        # tile pipeline over the node's shard of columns. Like the modeled
+        # GPUs, it recomputes every tile in every matvec (no tile cache).
+        self._node_pipelines: List[TilePipeline] = []
+        if self.param.kernel is not KernelType.LINEAR:
+            self._node_pipelines = [
+                TilePipeline(
+                    self.X_bar,
+                    self.param.kernel,
+                    **self.param.kernel_kwargs(),
+                    tile_rows=self._tile_rows,
+                    cache_mb=0.0,
+                    dtype=self.dtype,
+                    shards=[rows],
+                )
+                for rows in self.row_blocks
+            ]
 
     # -- fault recovery -----------------------------------------------------------
 
@@ -240,19 +259,14 @@ class MultiNodeQMatrix(QMatrixBase):
         Every node produces a *full-length* partial product from its own
         columns; the partials overlap on every entry, so the combine is a
         genuine ``n``-vector allreduce (unlike the linear path's
-        ``d``-vector Gram reduction).
+        ``d``-vector Gram reduction). The arithmetic of node ``k``'s
+        partial is the host tile pipeline over its shard of columns.
         """
-        from ..core.kernels import kernel_matrix
-
         n, d = self.X_bar.shape
-        kw = self.param.kernel_kwargs()
         partials = []
-        for node_id, (rows, devices, slabs) in enumerate(
-            zip(self.row_blocks, self.nodes, self._node_data)
+        for rows, devices, slabs, pipeline in zip(
+            self.row_blocks, self.nodes, self._node_data, self._node_pipelines
         ):
-            v_local = v[rows.slice]
-            cols = self.X_bar[rows.slice]
-            p = np.zeros(n)
             for tstart in range(0, n, self._tile_rows):
                 tstop = min(tstart + self._tile_rows, n)
                 trows = tstop - tstart
@@ -265,10 +279,6 @@ class MultiNodeQMatrix(QMatrixBase):
                         np.empty(0), root=self._owner_of(tstart)
                     )
                     self.comm.bytes_moved += tile_bytes
-                tile = kernel_matrix(
-                    self.X_bar[tstart:tstop], cols, self.param.kernel, **kw
-                )
-                p[tstart:tstop] += tile @ v_local
                 for dev, (_, frange) in zip(devices, slabs):
                     # Feature-sliced distance/inner-product partials; the
                     # kernel function itself is O(trows * |rows|).
@@ -287,7 +297,7 @@ class MultiNodeQMatrix(QMatrixBase):
                     )
             for dev in devices:
                 dev.copy_from_device(n * _FP64_BYTES)
-            partials.append(p)
+            partials.append(pipeline.sweep(v))
         return self.comm.allreduce_sum(partials)[0]
 
     def _owner_of(self, row: int) -> int:

@@ -1,5 +1,5 @@
 """OpenMP (CPU) backend: real shared-memory parallelism on the host."""
 
-from .backend import OpenMPCSVM, ThreadedQMatrix
+from .backend import OpenMPCSVM
 
-__all__ = ["OpenMPCSVM", "ThreadedQMatrix"]
+__all__ = ["OpenMPCSVM"]

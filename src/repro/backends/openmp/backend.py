@@ -1,17 +1,18 @@
 """OpenMP backend: parallel implicit matvecs on host threads.
 
 This is the one backend that executes on real hardware rather than the
-simulator. The implicit ``K_bar @ v`` product runs on the shared
-kernel-tile pipeline (:mod:`repro.core.tile_pipeline`) driven by a
-persistent thread pool (:mod:`repro.parallel.thread_pool`) — the direct
-translation of the C++ backend's ``#pragma omp parallel for``, plus the
-cross-iteration tile cache and precomputed RBF row norms the pipeline
-brings along. Inside each tile the arithmetic is a NumPy GEMM, which
-releases the GIL, so tiles genuinely overlap on multi-core hosts.
+simulator. It builds the host :class:`repro.core.qmatrix.ImplicitQMatrix`
+on its own worker pool (:mod:`repro.parallel.thread_pool`), so the
+implicit ``K_bar @ v`` product runs on the shared kernel-tile pipeline
+(:mod:`repro.core.tile_pipeline`) — the direct translation of the C++
+backend's ``#pragma omp parallel for``, plus the cross-iteration tile
+cache and precomputed RBF row norms the pipeline brings along. Inside each
+tile the arithmetic is a NumPy GEMM, which releases the GIL, so tiles
+genuinely overlap on multi-core hosts.
 
-The linear kernel keeps its factorized two-GEMV form (``X_bar @ (X_bar.T
-@ v)``): materializing kernel tiles for it would turn an O(m d) product
-into O(m²).
+The linear kernel keeps its factorized form (``X_bar @ (X_bar.T @ v)``,
+two BLAS GEMMs): materializing kernel tiles for it would turn an O(m d)
+product into O(m²).
 """
 
 from __future__ import annotations
@@ -20,77 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from ...core.qmatrix import QMatrixBase
-from ...core.tile_pipeline import DEFAULT_TILE_CACHE_MB, TilePipeline
-from ...parallel.partition import BlockRange
-from ...parallel.thread_pool import ThreadPool
+from ...core.qmatrix import ImplicitQMatrix, QMatrixBase
+from ...parallel.thread_pool import shared_pool
 from ...parameter import Parameter
 from ...profiling import ComponentTimer
-from ...types import BackendType, KernelType
+from ...types import BackendType
 from ..base import CSVM
 
-__all__ = ["OpenMPCSVM", "ThreadedQMatrix"]
-
-
-class ThreadedQMatrix(QMatrixBase):
-    """Matrix-free Q_tilde with a tile-pipeline-parallel kernel matvec."""
-
-    def __init__(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        param: Parameter,
-        pool: ThreadPool,
-        *,
-        tile_rows: int = 512,
-        tile_cache_mb: Optional[float] = None,
-        compute_dtype=None,
-    ) -> None:
-        super().__init__(X, y, param)
-        self.pool = pool
-        self.tile_rows = int(tile_rows)
-        self.compute_dtype = compute_dtype
-        # self.param has gamma resolved for the feature count (base __init__).
-        if self.param.kernel is KernelType.LINEAR:
-            self.pipeline: Optional[TilePipeline] = None
-        else:
-            kw = self.param.kernel_kwargs()
-            self.pipeline = TilePipeline(
-                self.X_bar,
-                self.param.kernel,
-                gamma=kw.get("gamma"),
-                degree=kw.get("degree", 3),
-                coef0=kw.get("coef0", 0.0),
-                tile_rows=self.tile_rows,
-                pool=pool,
-                cache_mb=(
-                    DEFAULT_TILE_CACHE_MB if tile_cache_mb is None else tile_cache_mb
-                ),
-                dtype=self.dtype,
-                compute_dtype=compute_dtype,
-            )
-
-    def _linear_multi(self, V: np.ndarray) -> np.ndarray:
-        # X_bar.T @ V is a shared reduction; compute it once, then each
-        # worker produces its row block of X_bar @ W.
-        W = self.X_bar.T @ V
-        out = np.empty((self.shape[0], *W.shape[1:]), dtype=self.dtype)
-
-        def linear_block(block: BlockRange) -> None:
-            out[block.slice] = self.X_bar[block.slice] @ W
-
-        self.pool.map_blocks(linear_block, self.shape[0])
-        return out
-
-    def _kernel_matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.pipeline is None:
-            return self._linear_multi(v)
-        return self.pipeline.sweep(v)
-
-    def _kernel_matvec_multi(self, V: np.ndarray) -> np.ndarray:
-        if self.pipeline is None:
-            return self._linear_multi(V)
-        return self.pipeline.sweep(V)
+__all__ = ["OpenMPCSVM"]
 
 
 class OpenMPCSVM(CSVM):
@@ -123,7 +61,9 @@ class OpenMPCSVM(CSVM):
         tile_cache_mb: Optional[float] = None,
         compute_dtype=None,
     ) -> None:
-        self.pool = ThreadPool(num_threads)
+        # The shared pool of this thread count: the operator's tile
+        # pipeline attaches to the very same pool.
+        self.pool = shared_pool(num_threads)
         self.tile_rows = int(tile_rows)
         self.tile_cache_mb = tile_cache_mb
         self.compute_dtype = compute_dtype
@@ -134,13 +74,13 @@ class OpenMPCSVM(CSVM):
 
     def create_qmatrix(
         self, X: np.ndarray, y: np.ndarray, param: Parameter
-    ) -> ThreadedQMatrix:
-        return ThreadedQMatrix(
+    ) -> ImplicitQMatrix:
+        return ImplicitQMatrix(
             X,
             y,
             param,
-            self.pool,
             tile_rows=self.tile_rows,
+            solver_threads=self.pool.num_threads,
             tile_cache_mb=self.tile_cache_mb,
             compute_dtype=self.compute_dtype,
         )

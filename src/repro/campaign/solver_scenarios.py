@@ -34,7 +34,7 @@ from ..io.binary_format import write_binary_file
 from ..io.chunked import open_chunked
 from ..membudget import memory_budget
 from ..parameter import Parameter
-from ..profiling.stats import reset_solver_counters, solver_counters
+from ..telemetry import scope
 from .gate import GateRule
 from .scenarios import register_scenario
 
@@ -71,20 +71,20 @@ def single_vs_block(
     qmat, _ = build_reduced_system(X, Y[:, 0], param, implicit=True)
     B = Y[:-1, :] - Y[-1:, :]
 
-    reset_solver_counters()
-    single_seconds, singles = _timed(
-        lambda: [
-            conjugate_gradient(qmat, B[:, j], epsilon=epsilon)
-            for j in range(B.shape[1])
-        ]
-    )
-    single_sweeps = solver_counters().tile_sweeps
+    with scope("single") as single_ctx:
+        single_seconds, singles = _timed(
+            lambda: [
+                conjugate_gradient(qmat, B[:, j], epsilon=epsilon)
+                for j in range(B.shape[1])
+            ]
+        )
+    single_sweeps = single_ctx.metrics.value("tile_sweeps")
 
-    reset_solver_counters()
-    block_seconds, block = _timed(
-        lambda: conjugate_gradient_block(qmat, B, epsilon=epsilon)
-    )
-    block_sweeps = solver_counters().tile_sweeps
+    with scope("block") as block_ctx:
+        block_seconds, block = _timed(
+            lambda: conjugate_gradient_block(qmat, B, epsilon=epsilon)
+        )
+    block_sweeps = block_ctx.metrics.value("tile_sweeps")
 
     return {
         "points": m,
@@ -115,13 +115,13 @@ def tile_cache(
         )
         return conjugate_gradient_block(qmat, B, epsilon=epsilon)
 
-    reset_solver_counters()
-    uncached_seconds, _ = _timed(lambda: solve(0.0))
-    uncached = solver_counters().as_dict()
+    with scope("uncached") as ctx:
+        uncached_seconds, _ = _timed(lambda: solve(0.0))
+    uncached = ctx.solver_counters_dict()
 
-    reset_solver_counters()
-    cached_seconds, _ = _timed(lambda: solve(None))
-    cached = solver_counters().as_dict()
+    with scope("cached") as ctx:
+        cached_seconds, _ = _timed(lambda: solve(None))
+    cached = ctx.solver_counters_dict()
 
     return {
         "points": m,
@@ -130,7 +130,7 @@ def tile_cache(
         "speedup": uncached_seconds / cached_seconds,
         "uncached_counters": uncached,
         "cached_counters": cached,
-        "cache_hit_rate": solver_counters().cache_hit_rate,
+        "cache_hit_rate": cached["cache_hit_rate"],
     }
 
 
@@ -152,9 +152,9 @@ def multiclass(
 
     # A third run on the implicit path surfaces the tile-cache counters for
     # a problem of this size (the explicit path has no tiles to cache).
-    reset_solver_counters()
-    implicit_seconds, _ = _timed(lambda: fit(True, implicit=True))
-    implicit_counters = solver_counters().as_dict()
+    with scope("implicit") as ctx:
+        implicit_seconds, _ = _timed(lambda: fit(True, implicit=True))
+    implicit_counters = ctx.solver_counters_dict()
 
     return {
         "points": m,
@@ -167,7 +167,7 @@ def multiclass(
         "shared_implicit": {
             "seconds": implicit_seconds,
             "counters": implicit_counters,
-            "cache_hit_rate": solver_counters().cache_hit_rate,
+            "cache_hit_rate": implicit_counters["cache_hit_rate"],
         },
     }
 
@@ -190,24 +190,24 @@ def preconditioning(m: int, features: int, epsilon: float, seed: int) -> dict:
 
     configs = {}
     for kind in (None, "jacobi", "nystrom"):
-        reset_solver_counters()
-        seconds, result = _timed(
-            lambda kind=kind: conjugate_gradient(
-                qmat,
-                rhs,
-                epsilon=epsilon,
-                preconditioner=make_preconditioner(qmat, kind, rng=seed),
+        with scope(kind or "none") as ctx:
+            seconds, result = _timed(
+                lambda kind=kind: conjugate_gradient(
+                    qmat,
+                    rhs,
+                    epsilon=epsilon,
+                    preconditioner=make_preconditioner(qmat, kind, rng=seed),
+                )
             )
-        )
-        counters = solver_counters()
+        counters = ctx.solver_counters_dict()
         configs[kind or "none"] = {
             "iterations": result.iterations,
             "seconds": seconds,
-            "setup_seconds": counters.precond_setup_seconds,
-            "rank": counters.precond_rank,
+            "setup_seconds": counters["precond_setup_seconds"],
+            "rank": counters["precond_rank"],
             "residual": result.residual,
             "status": result.status.name,
-            "tile_sweeps": counters.tile_sweeps,
+            "tile_sweeps": counters["tile_sweeps"],
             "precision": "float64",
         }
 
@@ -238,7 +238,6 @@ def mixed_precision(m: int, features: int, epsilon: float, seed: int) -> dict:
 
     configs = {}
     for compute_dtype in (None, "float32"):
-        reset_solver_counters()
         seconds, (result, stats) = _timed(lambda cd=compute_dtype: solve(cd))
         configs[stats["compute_dtype"]] = {
             "iterations": result.iterations,
@@ -355,8 +354,8 @@ def out_of_core(
     """In-memory implicit matvecs vs the row-sharded operator on a PLSB file.
 
     For each m the same planes data is applied once through the in-memory
-    implicit pipeline and once through ``RowShardedQMatrix`` streaming a
-    PLSB spill under a byte budget (linear kernel, so the sweeps are
+    implicit operator and once through ``ImplicitQMatrix``'s row-shard
+    partition streaming a PLSB spill under a byte budget (linear kernel, so the sweeps are
     GEMM-bound and the comparison isolates the streaming overhead:
     chunked reads, per-shard partials, the allreduce fold). The
     acceptance bar is throughput within 1.5x of in-memory at the largest

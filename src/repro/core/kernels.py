@@ -5,9 +5,10 @@ Three shapes of evaluation are provided, all sharing one dispatch table:
 * :func:`kernel_scalar` — a single pair ``k(x, y)``;
 * :func:`kernel_row` — one point against a matrix of points (prediction,
   and the cached ``q`` vector of §III-C2);
-* :func:`kernel_matrix` — all pairs between two point sets, evaluated in
-  row tiles so that memory stays bounded even for large ``m`` — the
-  NumPy analogue of the paper's implicit matrix representation.
+* :func:`kernel_matrix` — all pairs between two point sets; the tile
+  pipeline (:mod:`repro.core.tile_pipeline`) calls it per row tile so
+  that memory stays bounded even for large ``m`` — the NumPy analogue of
+  the paper's implicit matrix representation.
 
 All functions accept ``gamma``/``degree``/``coef0`` keyword arguments; the
 linear kernel ignores them. Gram computations route through BLAS
@@ -18,7 +19,7 @@ against cancellation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "kernel_row",
     "kernel_matrix",
     "kernel_diagonal",
-    "kernel_matrix_tiles",
     "kernel_flops_per_entry",
     "squared_row_norms",
     "validate_kernel_params",
@@ -217,44 +217,6 @@ def kernel_diagonal(
     if kernel is KernelType.POLYNOMIAL:
         return (gamma * self_dots + coef0) ** degree
     return np.tanh(gamma * self_dots + coef0)
-
-
-def kernel_matrix_tiles(
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel: KernelType,
-    *,
-    gamma: Optional[float] = None,
-    degree: int = 3,
-    coef0: float = 0.0,
-    tile_rows: int = 1024,
-    a_sq: Optional[np.ndarray] = None,
-    b_sq: Optional[np.ndarray] = None,
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Yield ``(row_slice, K[row_slice, :])`` tiles of the kernel matrix.
-
-    This is the memory-bounded evaluation used by the implicit matvec for
-    the non-linear kernels: only ``tile_rows * len(b)`` entries are live at
-    any time, independent of ``len(a)``, exactly like the paper's
-    recompute-per-use strategy (§III-B) avoids storing the ``(m-1)²``
-    matrix. ``a_sq`` / ``b_sq`` forward precomputed
-    :func:`squared_row_norms` to the radial kernel.
-    """
-    if tile_rows <= 0:
-        raise InvalidParameterError("tile_rows must be positive")
-    a2 = _as_2d(a)
-    for start in range(0, a2.shape[0], tile_rows):
-        rows = slice(start, min(start + tile_rows, a2.shape[0]))
-        yield rows, kernel_matrix(
-            a2[rows],
-            b,
-            kernel,
-            gamma=gamma,
-            degree=degree,
-            coef0=coef0,
-            a_sq=None if a_sq is None else a_sq[rows],
-            b_sq=b_sq,
-        )
 
 
 def kernel_flops_per_entry(kernel: KernelType, num_features: int) -> float:

@@ -28,6 +28,7 @@ from ..exceptions import DataError, InvalidParameterError, NotFittedError
 from ..membudget import memory_budget, reset_peak_rss, sample_peak_rss
 from ..parameter import Parameter, ResourceConfig, SolverConfig
 from ..profiling import ComponentTimer
+from ..sparse.csr import CSRMatrix
 from ..telemetry import TrainingReport, build_report, fit_scope
 from ..types import BackendType, KernelType, TargetPlatform
 from .cg import CGResult, conjugate_gradient
@@ -185,9 +186,9 @@ class LSSVC(ParamsMixin):
         realized peak RSS lands in ``report_.peak_rss_bytes``.
     shard_rows:
         Split the reduced system into this many sample row-shards and run
-        CG matvecs shard-by-shard through the out-of-core operator
-        (:class:`repro.core.rowsharded.RowShardedQMatrix`) — partial
-        products are combined by deterministic allreduce. ``X`` may then
+        CG matvecs shard-by-shard through the row-shard partition of
+        :class:`repro.core.qmatrix.ImplicitQMatrix` — partial products are
+        combined by deterministic allreduce. ``X`` may then
         be a row source (e.g. :class:`repro.io.ChunkedDataset`) so dense
         data never enters memory. Requires ``backend=None``.
     config:
@@ -447,10 +448,7 @@ class LSSVC(ParamsMixin):
         backend = self._resolve_backend()
         if backend is None:
             if self.sparse:
-                from ..sparse.qmatrix import SparseImplicitQMatrix
-
-                qmat: QMatrixBase = SparseImplicitQMatrix(X, y, self.param)
-                return qmat, qmat.rhs()
+                X = CSRMatrix.from_dense(np.asarray(X, dtype=self.param.dtype))
             return build_reduced_system(
                 X,
                 y,

@@ -35,7 +35,6 @@ import numpy as np
 from ..exceptions import ModelFormatError, NotFittedError
 from ..parameter import Parameter
 from ..types import KernelType
-from .kernels import kernel_matrix
 
 __all__ = [
     "LSSVMModel",
@@ -123,64 +122,24 @@ class LSSVMModel:
             self._weight_cache = cached
         return cached
 
-    def tile_rows_for_budget(self, max_tile_mb: float) -> int:
-        """Kernel-row tile height that keeps one tile under ``max_tile_mb``.
-
-        One tile holds ``tile_rows * num_support_vectors`` kernel entries;
-        this solves for the row count (at least 1) whose tile stays within
-        the byte budget — the same budget idiom as ``tile_cache_mb`` on
-        the training side.
-        """
-        if max_tile_mb <= 0:
-            raise ModelFormatError("max_tile_mb must be positive")
-        budget = int(max_tile_mb * 1024 * 1024)
-        per_row = max(1, self.num_support_vectors) * np.dtype(self.param.dtype).itemsize
-        return max(1, budget // per_row)
-
-    def decision_function(
-        self,
-        X: np.ndarray,
-        *,
-        tile_rows: Optional[int] = None,
-        max_tile_mb: float = 64.0,
-    ) -> np.ndarray:
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Signed distance surrogate ``f(x)`` for each row of ``X``.
 
-        The linear kernel takes the O(d)-per-point primal fast path through
+        Evaluated by this model's cached :meth:`engine`: the linear kernel
+        takes the O(d)-per-point primal fast path through
         :meth:`weight_vector`; the non-linear kernels evaluate the kernel
-        expansion in row tiles so prediction memory stays bounded for any
-        test-set size: the tile height is derived from ``max_tile_mb``
-        (never materializing the full ``n_test x n_sv`` kernel matrix),
-        unless ``tile_rows`` pins it explicitly. Chunking does not change
-        the values — each output row is an independent kernel-row dot
-        product.
-
-        For repeated prediction (serving), prefer :meth:`engine`, which
-        hoists the row norms and casts out of the per-call path.
+        expansion as a threaded cross sweep over the support vectors in
+        query tiles of at most 64 MiB, so prediction memory stays bounded
+        for any test-set size. Tiling does not change the values — each
+        output row is an independent kernel-row dot product.
         """
         X = np.asarray(X, dtype=self.param.dtype)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.num_features:
+        if X.shape[-1] != self.num_features:
             raise ModelFormatError(
-                f"test data has {X.shape[1]} features, model expects {self.num_features}"
+                f"test data has {X.shape[-1]} features, model expects {self.num_features}"
             )
-        if self.param.kernel is KernelType.LINEAR:
-            out = X @ self.weight_vector() + self.bias
-            return out[0] if single else out
-        if tile_rows is None:
-            tile_rows = self.tile_rows_for_budget(max_tile_mb)
-        elif tile_rows <= 0:
-            raise ModelFormatError("tile_rows must be positive")
-        kw = self.param.kernel_kwargs()
-        out = np.empty(X.shape[0], dtype=self.param.dtype)
-        for start in range(0, X.shape[0], tile_rows):
-            rows = slice(start, min(start + tile_rows, X.shape[0]))
-            K = kernel_matrix(X[rows], self.support_vectors, self.param.kernel, **kw)
-            out[rows] = K @ self.alpha
-        out += self.bias
-        return out[0] if single else out
+        out = self.engine().decision_function(X)
+        return out[0] if X.ndim == 1 else out
 
     def engine(self, **kwargs):
         """A warm :class:`repro.serve.PredictionEngine` over this model.
@@ -188,8 +147,8 @@ class LSSVMModel:
         The serving path: precomputed RBF row norms, compute-dtype casts,
         and threaded tile sweeps, amortized across calls. Keyword
         arguments forward to the engine constructor (``solver_threads``,
-        ``compute_dtype``, ``tile_rows``, ...). Imported lazily —
-        ``core`` stays below ``serve`` in the layering.
+        ``compute_dtype``, ...). Imported lazily — ``core`` stays below
+        ``serve`` in the layering.
 
         Engines are cached per keyword combination: an engine's hoisted
         state (row norms, casts) is only valid for the coefficients it

@@ -22,7 +22,11 @@ Two realizations are provided:
   is precomputed once (§III-C2, "Caching"), which turns the three kernel
   evaluations per entry into one. For the linear kernel the matvec
   collapses into two BLAS-2 products against the data matrix
-  (``X_bar @ (X_bar.T @ v)``), making it O(m d) instead of O(m² d).
+  (``X_bar @ (X_bar.T @ v)``), making it O(m d) instead of O(m² d). It is
+  the one host-side matrix-free operator: the type of its input (dense
+  array, CSR matrix, row source) and an optional row-shard partition pick
+  how the kernel product is formed, and every kernel tile goes through
+  :class:`repro.core.tile_pipeline.TilePipeline`.
 
 Both classes share the rank-one correction algebra
 
@@ -34,13 +38,16 @@ Both classes share the rank-one correction algebra
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import DataError, InvalidParameterError
 from ..membudget import active_memory_budget, format_bytes
+from ..parallel.partition import BlockRange, chunk_ranges
+from ..parallel.reduction import sum_partials
 from ..parameter import Parameter
+from ..sparse.csr import CSRMatrix
 from ..types import KernelType
 from .kernels import kernel_diagonal, kernel_matrix, kernel_row, kernel_scalar
 
@@ -78,6 +85,13 @@ def _validate_training_data(
         raise DataError("LS-SVM training requires at least two data points")
     if X.shape[1] < 1:
         raise DataError("training data has no features")
+    _validate_targets(y, binary_labels)
+    if not np.all(np.isfinite(X)):
+        raise DataError("training data contains NaN or infinite values")
+    return X, y
+
+
+def _validate_targets(y: np.ndarray, binary_labels: bool) -> None:
     if binary_labels:
         labels = np.unique(y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -86,9 +100,6 @@ def _validate_training_data(
             raise DataError("training data contains only a single class")
     elif not np.all(np.isfinite(y)):
         raise DataError("regression targets contain NaN or infinite values")
-    if not np.all(np.isfinite(X)):
-        raise DataError("training data contains NaN or infinite values")
-    return X, y
 
 
 class QMatrixBase(abc.ABC):
@@ -141,9 +152,9 @@ class QMatrixBase(abc.ABC):
     ) -> None:
         """Shared tail of construction once ``q_bar``/``k_mm`` are known.
 
-        Subclasses that never hold dense ``X`` (the row-sharded operator)
-        compute ``q_bar`` by streaming and then call this directly instead
-        of ``QMatrixBase.__init__``.
+        Operators that never hold dense ``X`` (an ``ImplicitQMatrix`` over
+        a row source) compute ``q_bar`` by streaming and then call this
+        directly instead of ``QMatrixBase.__init__``.
         """
         m = q_bar.shape[0] + 1
         self.param = param
@@ -254,7 +265,7 @@ class QMatrixBase(abc.ABC):
     # three methods instead of reading dense ``X`` directly, so operators
     # backed by an out-of-core ChunkedDataset work without ever
     # materializing the matrix. The base implementations slice the
-    # in-memory ``X_bar``; RowShardedQMatrix overrides them to stream.
+    # in-memory ``X_bar``; ImplicitQMatrix over a row source streams.
 
     def iter_row_blocks(self, block_rows: Optional[int] = None):
         """Yield ``(start, stop, block)`` over the first ``m-1`` points.
@@ -345,7 +356,7 @@ class ExplicitQMatrix(QMatrixBase):
                 f"{n}x{n} reduced system: {estimate} bytes "
                 f"({format_bytes(estimate)}) for m={n + 1} training points "
                 f"exceeds the active memory budget of {format_bytes(budget)}. "
-                f"Use the implicit or row-sharded operator "
+                f"Use the implicit operator "
                 f"(implicit=True / shard_rows), or raise --memory-budget-mb."
             )
         kw = self.param.kernel_kwargs()
@@ -484,20 +495,73 @@ class ExplicitQMatrix(QMatrixBase):
         return np.ascontiguousarray(np.diagonal(self._dense))
 
 
+class _HeadRows:
+    """The first ``num_rows`` rows of a row source, as a row source.
+
+    The reduced system runs over ``X_bar`` (all points but the last); this
+    view hands exactly those rows to the tile pipeline without reading
+    the source.
+    """
+
+    def __init__(self, source, num_rows: int) -> None:
+        self.source = source
+        self.num_rows = int(num_rows)
+        self.num_features = int(source.num_features)
+        self.shape = (self.num_rows, self.num_features)
+
+    def iter_blocks(self, block_rows: Optional[int] = None, *, stop: Optional[int] = None):
+        end = self.num_rows if stop is None else min(int(stop), self.num_rows)
+        return self.source.iter_blocks(block_rows, stop=end)
+
+    def row_block(self, start: int, stop: int) -> np.ndarray:
+        return self.source.row_block(start, stop)
+
+
+def _resolve_shards(
+    n: int, num_shards: Optional[int], shard_size: Optional[int]
+) -> List[BlockRange]:
+    """The row-shard partition of ``[0, n)`` (default: 4096-row shards)."""
+    if num_shards is not None:
+        if int(num_shards) < 1:
+            raise InvalidParameterError(f"num_shards must be >= 1, got {num_shards}")
+        return [r for r in chunk_ranges(n, int(num_shards)) if len(r) > 0]
+    size = DEFAULT_ROW_BLOCK if shard_size is None else int(shard_size)
+    if size < 1:
+        raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
+    return [BlockRange(s, min(s + size, n)) for s in range(0, n, size)]
+
+
 class ImplicitQMatrix(QMatrixBase):
     """Matrix-free Q_tilde: kernel entries are recomputed per use (§III-B).
 
-    The non-linear kernels route through the shared
-    :class:`repro.core.tile_pipeline.TilePipeline`: threaded tile
-    evaluation with precomputed RBF row norms, and a byte-budgeted
-    cross-iteration tile cache so CG iterations after the first replay
-    cached GEMMs instead of recomputing kernel entries.
+    The type of ``X`` picks how ``K_bar @ V`` is formed:
+
+    * a dense array — the linear kernel is the Gram product
+      ``X_bar @ (X_bar.T @ V)``; the non-linear kernels sweep the shared
+      :class:`repro.core.tile_pipeline.TilePipeline` (threaded tiles,
+      precomputed RBF row norms, a byte-budgeted cross-iteration tile
+      cache, so CG iterations after the first can replay cached tiles);
+    * a :class:`repro.sparse.CSRMatrix` (linear kernel only) — the same
+      Gram product on the CSR structure, O(nnz) per matvec: the paper's
+      "sparse data structures for the CG solver" next step (§V);
+    * a row source (:class:`repro.io.ChunkedDataset` / ``ArrayRowSource``)
+      — out-of-core training: the data is streamed block by block and
+      never densified.
+
+    A row source, or any input given a row-shard partition
+    (``num_shards`` / ``shard_size``), runs Tyree et al.'s sample-sharded
+    scheme: shard ``J`` owns its rows ``X_J`` and the slice ``v_J``. The
+    linear kernel combines the per-shard feature-space partials
+    ``X_J^T v_J`` with one deterministic allreduce
+    (:mod:`repro.parallel.reduction`) and streams ``X_B @ w`` back out;
+    the non-linear kernels hand the partition to the tile pipeline.
 
     Parameters
     ----------
     tile_rows:
         Row-tile height for the non-linear kernels; bounds peak memory at
-        ``tile_rows * (m-1)`` kernel entries per matvec (per worker).
+        ``tile_rows * (m-1)`` kernel entries per matvec (per worker), or
+        ``tile_rows²`` under a partition.
     solver_threads:
         Worker threads for the tile sweep; ``None`` resolves like an
         OpenMP runtime (``PLSSVM_NUM_THREADS`` / CPU count), ``1`` is
@@ -511,11 +575,17 @@ class ImplicitQMatrix(QMatrixBase):
         bandwidth while CG's vectors, reductions, and termination
         criterion stay in ``dtype``). ``None`` keeps tiles in ``dtype``.
         The linear kernel has no tiles and ignores it.
+    num_shards:
+        Split the samples into this many row shards (simulated nodes).
+    shard_size:
+        Fixed shard height in rows (the last shard may be ragged); mutually
+        exclusive with ``num_shards``. A row source without either gets
+        4096-row shards.
     """
 
     def __init__(
         self,
-        X: np.ndarray,
+        X,
         y: np.ndarray,
         param: Parameter,
         *,
@@ -525,15 +595,72 @@ class ImplicitQMatrix(QMatrixBase):
         solver_threads: Optional[int] = None,
         tile_cache_mb: Optional[float] = None,
         compute_dtype=None,
+        num_shards: Optional[int] = None,
+        shard_size: Optional[int] = None,
     ) -> None:
-        super().__init__(X, y, param, ridge=ridge, binary_labels=binary_labels)
+        from ..io.chunked import as_row_source, is_row_source  # io imports core
+
         if tile_rows <= 0:
             raise DataError("tile_rows must be positive")
+        if num_shards is not None and shard_size is not None:
+            raise InvalidParameterError("num_shards and shard_size are mutually exclusive")
+        self.csr: Optional[CSRMatrix] = None
+        if isinstance(X, CSRMatrix):
+            if KernelType.from_name(param.kernel) is not KernelType.LINEAR:
+                raise InvalidParameterError(
+                    "the sparse CG path supports only the linear kernel "
+                    "(non-linear kernel matrices are dense regardless of data sparsity)"
+                )
+            # The dense copy backs q_bar and the fitted model; the matvec
+            # only touches the CSR structure.
+            self.csr, X = X, X.to_dense()
+        self.source = None
+        self.shards: Optional[List[BlockRange]] = None
+        if is_row_source(X) or num_shards is not None or shard_size is not None:
+            self.source = as_row_source(X)
+            self._init_streamed(param, y, ridge=ridge, binary_labels=binary_labels)
+            self.shards = _resolve_shards(self.shape[0], num_shards, shard_size)
+        else:
+            super().__init__(X, y, param, ridge=ridge, binary_labels=binary_labels)
         self.tile_rows = int(tile_rows)
         self._solver_threads = solver_threads
         self._tile_cache_mb = tile_cache_mb
         self.compute_dtype = compute_dtype
         self._pipeline = None
+
+    def _init_streamed(self, param: Parameter, y, *, ridge, binary_labels) -> None:
+        """Validate and set up from ``self.source`` in one streaming pass."""
+        source = self.source
+        m, d = int(source.num_rows), int(source.num_features)
+        if m < 2:
+            raise DataError("LS-SVM training requires at least two data points")
+        if d < 1:
+            raise DataError("training data has no features")
+        param = param.with_gamma_for(d)
+        y = np.asarray(y, dtype=param.dtype).ravel()
+        if y.shape[0] != m:
+            raise DataError(f"number of points ({m}) and labels ({y.shape[0]}) differ")
+        _validate_targets(y, binary_labels)
+        # Training never reads these; they back the fitted model's support
+        # vectors (a lazy memmap for on-disk data).
+        self.X = source.as_array()
+        self.X_bar = self.X[:-1]
+        self.x_m = np.asarray(source.row(m - 1), dtype=param.dtype)
+        if not np.all(np.isfinite(self.x_m)):
+            raise DataError("training data contains NaN or infinite values")
+        kw = param.kernel_kwargs()
+        q_bar = np.empty(m - 1, dtype=param.dtype)
+        for start, stop, block in source.iter_blocks(stop=m - 1):
+            block = np.asarray(block, dtype=param.dtype)
+            if not np.all(np.isfinite(block)):
+                raise DataError("training data contains NaN or infinite values")
+            q_bar[start:stop] = kernel_row(self.x_m, block, param.kernel, **kw)
+        k_mm = kernel_scalar(self.x_m, self.x_m, param.kernel, **kw)
+        self._finish_init(y, param, q_bar, k_mm, ridge=ridge)
+
+    @property
+    def num_shards(self) -> int:
+        return 1 if self.shards is None else len(self.shards)
 
     @property
     def pipeline(self):
@@ -541,39 +668,93 @@ class ImplicitQMatrix(QMatrixBase):
         if self.param.kernel is KernelType.LINEAR:
             return None
         if self._pipeline is None:
-            from .tile_pipeline import DEFAULT_TILE_CACHE_MB, TilePipeline
+            from .tile_pipeline import TilePipeline
 
-            cache_mb = (
-                DEFAULT_TILE_CACHE_MB
-                if self._tile_cache_mb is None
-                else self._tile_cache_mb
-            )
-            kw = self.param.kernel_kwargs()
             self._pipeline = TilePipeline(
-                self.X_bar,
+                self.X_bar if self.source is None else _HeadRows(self.source, self.shape[0]),
                 self.param.kernel,
-                gamma=kw.get("gamma"),
-                degree=kw.get("degree", 3),
-                coef0=kw.get("coef0", 0.0),
+                **self.param.kernel_kwargs(),
                 tile_rows=self.tile_rows,
                 num_threads=self._solver_threads,
-                cache_mb=cache_mb,
+                cache_mb=self._tile_cache_mb,
                 dtype=self.dtype,
                 compute_dtype=self.compute_dtype,
+                shards=self.shards,
             )
         return self._pipeline
 
+    # -- row-block protocol ------------------------------------------------
+
+    def iter_row_blocks(self, block_rows: Optional[int] = None):
+        if self.source is None:
+            yield from super().iter_row_blocks(block_rows)
+            return
+        rows = self.source.iter_blocks(block_rows, stop=self.shape[0])
+        for start, stop, block in rows:
+            yield start, stop, np.asarray(block, dtype=self.dtype)
+
+    def gather_rows(self, indices) -> np.ndarray:
+        if self.source is None:
+            return super().gather_rows(indices)
+        indices = np.asarray(indices, dtype=np.intp)
+        if indices.size and int(indices.max(initial=0)) >= self.shape[0]:
+            raise DataError(
+                f"row index {int(indices.max())} out of range for the "
+                f"{self.shape[0]} reduced-system rows"
+            )
+        return np.asarray(self.source.gather_rows(indices), dtype=self.dtype)
+
+    # -- matvec ------------------------------------------------------------
+
     def _kernel_matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.param.kernel is KernelType.LINEAR:
-            # K_bar @ v == X_bar @ (X_bar.T @ v): two GEMVs, O(m d).
-            return self.X_bar @ (self.X_bar.T @ v)
-        return self.pipeline.sweep(v)
+        if self.param.kernel is not KernelType.LINEAR:
+            return self.pipeline.sweep(v)
+        if self.shards is not None:
+            return self._sharded_gram(v[:, None])[:, 0]
+        if self.csr is not None:
+            csr_bar = self.csr.head(self.shape[0])
+            return csr_bar.matvec(csr_bar.rmatvec(v))
+        # K_bar @ v == X_bar @ (X_bar.T @ v): two GEMVs, O(m d).
+        return self.X_bar @ (self.X_bar.T @ v)
 
     def _kernel_matvec_multi(self, V: np.ndarray) -> np.ndarray:
-        if self.param.kernel is KernelType.LINEAR:
-            # Two GEMMs instead of 2k GEMVs.
-            return self.X_bar @ (self.X_bar.T @ V)
-        return self.pipeline.sweep(V)
+        if self.param.kernel is not KernelType.LINEAR:
+            return self.pipeline.sweep(V)
+        if self.shards is not None:
+            return self._sharded_gram(V)
+        if self.csr is not None:
+            return super()._kernel_matvec_multi(V)
+        # Two GEMMs instead of 2k GEMVs.
+        return self.X_bar @ (self.X_bar.T @ V)
+
+    def _sharded_gram(self, V: np.ndarray) -> np.ndarray:
+        """Linear ``K_bar @ V`` over the row shards: one ``d``-length allreduce.
+
+        Phase 1 streams each shard once for its feature-space partial
+        ``X_J^T V_J`` (``d × k``, the only inter-shard communication);
+        phase 2 streams again for the disjoint output rows ``X_B @ w``.
+        """
+        d = self.X.shape[1]
+        partials = []
+        for shard in self.shards:
+            # The in-shard fold is node-local work, accumulated in block
+            # order (deterministic).
+            local = np.zeros((d, V.shape[1]), dtype=self.dtype)
+            for start, stop, block in self._shard_blocks(shard):
+                local += block.T @ V[start:stop]
+            partials.append(local)
+        w = sum_partials(partials)
+        out = np.empty((self.shape[0], V.shape[1]), dtype=self.dtype)
+        for shard in self.shards:
+            for start, stop, block in self._shard_blocks(shard):
+                out[start:stop] = block @ w
+        return out
+
+    def _shard_blocks(self, shard: BlockRange):
+        step = self.source.block_rows
+        for start in range(shard.start, shard.stop, step):
+            stop = min(start + step, shard.stop)
+            yield start, stop, np.asarray(self.source.row_block(start, stop), dtype=self.dtype)
 
 
 def reduced_rhs(y: np.ndarray) -> np.ndarray:
@@ -583,7 +764,7 @@ def reduced_rhs(y: np.ndarray) -> np.ndarray:
 
 
 def build_reduced_system(
-    X: np.ndarray,
+    X,
     y: np.ndarray,
     param: Parameter,
     *,
@@ -607,29 +788,21 @@ def build_reduced_system(
     configure the implicit operator's tile pipeline (ignored for the
     explicit path).
 
-    ``X`` may be a row source (:class:`repro.io.chunked.ChunkedDataset` /
-    ``ArrayRowSource``) instead of an array; that, or a ``shard_rows`` /
-    ``shard_size`` sharding request, routes to the out-of-core
-    :class:`repro.core.rowsharded.RowShardedQMatrix`.
+    ``X`` may also be a :class:`repro.sparse.CSRMatrix` or a row source
+    (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``); that,
+    or a ``shard_rows`` / ``shard_size`` partition, always selects the
+    matrix-free :class:`ImplicitQMatrix`.
     """
     from ..io.chunked import is_row_source
 
-    if is_row_source(X) or shard_rows is not None or shard_size is not None:
-        from .rowsharded import RowShardedQMatrix
-
-        q: QMatrixBase = RowShardedQMatrix(
-            X,
-            y,
-            param,
-            num_shards=shard_rows,
-            shard_size=shard_size,
-            tile_rows=tile_rows,
-            solver_threads=solver_threads,
-            tile_cache_mb=tile_cache_mb,
-            compute_dtype=compute_dtype,
-        )
-        return q, q.rhs()
-    if implicit is None:
+    if (
+        isinstance(X, CSRMatrix)
+        or is_row_source(X)
+        or shard_rows is not None
+        or shard_size is not None
+    ):
+        implicit = True
+    elif implicit is None:
         m = np.asarray(X).shape[0]
         implicit = m > EXPLICIT_LIMIT
         if not implicit:
@@ -638,7 +811,7 @@ def build_reduced_system(
             if budget is not None and dense_bytes > budget:
                 implicit = True
     if implicit:
-        q = ImplicitQMatrix(
+        q: QMatrixBase = ImplicitQMatrix(
             X,
             y,
             param,
@@ -646,6 +819,8 @@ def build_reduced_system(
             solver_threads=solver_threads,
             tile_cache_mb=tile_cache_mb,
             compute_dtype=compute_dtype,
+            num_shards=shard_rows,
+            shard_size=shard_size,
         )
     else:
         q = ExplicitQMatrix(X, y, param)

@@ -41,6 +41,7 @@ from .solvers import (
     resolve_solver,
     solve_nystrom,
 )
+from .tile_pipeline import TilePipeline, _prediction_tile_rows
 
 __all__ = ["LSSVR"]
 
@@ -308,11 +309,13 @@ class LSSVR(ParamsMixin):
         if self._alpha is None:
             raise NotFittedError("LSSVR is not fitted yet; call fit() first")
 
-    def predict(self, X: np.ndarray, *, tile_rows: int = 2048) -> np.ndarray:
-        """Predicted function values for each row of ``X``."""
-        self._require_fitted()
-        from .kernels import kernel_matrix
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predicted function values for each row of ``X``.
 
+        The kernel expansion is one cross sweep of the tile pipeline over
+        the training points, in query tiles of at most 64 MiB.
+        """
+        self._require_fitted()
         X = np.asarray(X, dtype=self.param.dtype)
         single = X.ndim == 1
         if single:
@@ -325,17 +328,21 @@ class LSSVR(ParamsMixin):
                 )
             out = self._fmap.transform(X) @ self._alpha + self._bias
             return out[0] if single else out
-        if X.shape[1] != self._qmat.X.shape[1]:
+        points = self._qmat.X
+        if X.shape[1] != points.shape[1]:
             raise DataError(
                 f"test data has {X.shape[1]} features, model expects "
-                f"{self._qmat.X.shape[1]}"
+                f"{points.shape[1]}"
             )
-        kw = self._qmat.param.kernel_kwargs()
-        out = np.empty(X.shape[0], dtype=self.param.dtype)
-        for start in range(0, X.shape[0], tile_rows):
-            rows = slice(start, min(start + tile_rows, X.shape[0]))
-            K = kernel_matrix(X[rows], self._qmat.X, self._qmat.param.kernel, **kw)
-            out[rows] = K @ self._alpha
+        pipeline = TilePipeline(
+            points,
+            self._qmat.param.kernel,
+            **self._qmat.param.kernel_kwargs(),
+            tile_rows=_prediction_tile_rows(points.shape[0], self.param.dtype),
+            cache_mb=0.0,
+            dtype=self.param.dtype,
+        )
+        out = pipeline.cross_sweep(X, self._alpha)
         out += self._bias
         return out[0] if single else out
 

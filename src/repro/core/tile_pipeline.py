@@ -23,6 +23,16 @@ The radial kernel's ``||x||²`` row norms are precomputed once per pipeline
 and sliced per tile (§III-C2's caching idea applied host-side) instead of
 being recomputed for every tile of every sweep.
 
+The point set may be an in-memory array or a row source
+(:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``), and the
+columns may be split into sample shards, following Tyree et al.'s
+row-partitioned scheme: shard ``J`` owns the columns ``J`` and the slice
+``V[J]``, streams every row tile against its columns in ``tile_rows``-wide
+blocks, and produces a full-length partial ``K[:, J] @ V[J]``; the partials
+are combined with the deterministic allreduce of
+:mod:`repro.parallel.reduction`, folded in bounded groups. A row source is
+read block by block, so peak memory stays a few tiles plus O(m) vectors.
+
 A ``compute_dtype`` knob adds mixed precision (Glasmachers' observation
 that reduced-precision kernel storage is the cheapest way to double
 effective cache capacity and bandwidth): tiles are evaluated and cached in
@@ -39,12 +49,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..parallel.thread_pool import ThreadPool, shared_pool
+from ..membudget import active_memory_budget
+from ..parallel.partition import BlockRange
+from ..parallel.reduction import sum_partials
+from ..parallel.thread_pool import shared_pool
 from ..telemetry.context import current_context
 from ..types import KernelType
 from .kernels import kernel_matrix, squared_row_norms, validate_kernel_params
@@ -55,6 +68,21 @@ __all__ = ["TileCache", "TilePipeline", "DEFAULT_TILE_CACHE_MB"]
 #: problems up to ~5800 points cache fully in float64; larger problems fall
 #: back to recompute-per-sweep exactly like the paper's GPU kernels.
 DEFAULT_TILE_CACHE_MB = 256.0
+
+#: A sharded sweep folds its partial outputs through the allreduce once
+#: this many accumulate, bounding the combine step at that many vectors.
+_FOLD_PARTIALS = 8
+
+#: Prediction keeps one query tile (kernel rows against the support set)
+#: under this many bytes, and under 1024 rows.
+_PREDICT_TILE_BYTES = 64 * 1024 * 1024
+_PREDICT_TILE_ROWS = 1024
+
+
+def _prediction_tile_rows(num_points: int, dtype) -> int:
+    """Query-tile height of a prediction cross sweep over ``num_points`` points."""
+    per_row = max(1, num_points) * np.dtype(dtype).itemsize
+    return max(1, min(_PREDICT_TILE_ROWS, _PREDICT_TILE_BYTES // per_row))
 
 
 class TileCache:
@@ -181,22 +209,23 @@ class TilePipeline:
     ----------
     points:
         The point set; the pipeline evaluates ``K[i, j] = k(p_i, p_j)``.
+        An array is held in memory; a row source (``ChunkedDataset`` /
+        ``ArrayRowSource``) is streamed one tile at a time.
     kernel, gamma, degree, coef0:
         Kernel selection and coefficients (gamma must already be resolved).
     tile_rows:
         Row-tile height; bounds uncached peak memory at
-        ``tile_rows * len(points)`` entries per worker.
-    pool:
-        A ready-made :class:`ThreadPool` to run tiles on (the OpenMP
-        backend shares its pool); mutually exclusive with ``num_threads``.
+        ``tile_rows * len(points)`` entries per worker (``tile_rows²`` when
+        the columns are sharded).
     num_threads:
-        Worker count for a pipeline-owned pool; ``None`` resolves like an
-        OpenMP runtime (``PLSSVM_NUM_THREADS`` / CPU count).
+        Worker count of the shared pool to attach to; ``None`` resolves
+        like an OpenMP runtime (``PLSSVM_NUM_THREADS`` / CPU count).
     cache_mb:
         Byte budget (MiB) of the cross-iteration tile cache. ``0`` disables
-        caching. When the full tile working set exceeds the budget the
-        cache also stays off (see module docstring) unless
-        ``force_cache=True`` opts into partial LRU caching anyway.
+        caching; ``None`` uses :data:`DEFAULT_TILE_CACHE_MB`, clamped to a
+        quarter of an active memory budget. When the full tile working set
+        exceeds the budget the cache also stays off (see module docstring)
+        unless ``force_cache=True`` opts into partial LRU caching anyway.
     dtype:
         Element type of the sweep *results* (the CG working precision).
     compute_dtype:
@@ -206,35 +235,37 @@ class TilePipeline:
         GEMM bandwidth, while sweep results are still accumulated into
         ``dtype`` so the solver's recursion, reductions, and termination
         test keep their precision. ``None`` keeps tiles in ``dtype``.
+    shards:
+        Sample shards of the columns, as :class:`repro.parallel.BlockRange`
+        index ranges (see module docstring). ``None`` evaluates full-width
+        row tiles of an array, or one shard over every point of a row
+        source.
     """
 
     def __init__(
         self,
-        points: np.ndarray,
+        points,
         kernel: KernelType,
         *,
         gamma: Optional[float] = None,
         degree: int = 3,
         coef0: float = 0.0,
         tile_rows: int = 1024,
-        pool: Optional[ThreadPool] = None,
         num_threads: Optional[int] = None,
-        cache_mb: float = DEFAULT_TILE_CACHE_MB,
+        cache_mb: Optional[float] = None,
         force_cache: bool = False,
         dtype=np.float64,
         compute_dtype=None,
+        shards: Optional[Sequence] = None,
     ) -> None:
+        from ..io.chunked import is_row_source  # deferred: io imports core
+
         if tile_rows <= 0:
             raise InvalidParameterError("tile_rows must be positive")
-        if cache_mb < 0:
+        if cache_mb is not None and cache_mb < 0:
             raise InvalidParameterError("cache_mb must be non-negative")
-        if pool is not None and num_threads is not None:
-            raise InvalidParameterError("pass either pool or num_threads, not both")
         self.kernel = KernelType.from_name(kernel)
         validate_kernel_params(self.kernel, gamma, degree, coef0)
-        self.points = np.ascontiguousarray(points, dtype=dtype)
-        if self.points.ndim != 2:
-            raise InvalidParameterError("points must be a 2-D array")
         self.gamma = gamma
         self.degree = degree
         self.coef0 = coef0
@@ -247,83 +278,190 @@ class TilePipeline:
             raise InvalidParameterError(
                 f"compute_dtype must be a floating dtype, got {self.compute_dtype}"
             )
-        # Tile evaluation runs entirely in compute_dtype: casting the points
-        # once here keeps every per-tile GEMM and transcendental in the
-        # reduced precision instead of paying a downcast per tile per sweep.
-        self._points_c = (
-            self.points
-            if self.compute_dtype == self.dtype
-            else np.ascontiguousarray(self.points, dtype=self.compute_dtype)
-        )
-        n = self.points.shape[0]
+        if is_row_source(points):
+            # Streamed: rows are read (and cast) per tile, never held whole.
+            self.points = points
+            self._points_c = None
+            if shards is None:
+                shards = [BlockRange(0, int(points.num_rows))]
+        else:
+            self.points = np.ascontiguousarray(points, dtype=dtype)
+            if self.points.ndim != 2:
+                raise InvalidParameterError("points must be a 2-D array")
+            # Tile evaluation runs entirely in compute_dtype: casting the
+            # points once here keeps every per-tile GEMM and transcendental
+            # in the reduced precision instead of paying a downcast per
+            # tile per sweep.
+            self._points_c = (
+                self.points
+                if self.compute_dtype == self.dtype
+                else np.ascontiguousarray(self.points, dtype=self.compute_dtype)
+            )
+        n = int(self.points.shape[0])
         self.tiles: List[Tuple[int, int]] = [
             (start, min(start + self.tile_rows, n))
             for start in range(0, n, self.tile_rows)
         ]
+        # Column blocks per shard: one full-width block without shards,
+        # tile_rows-wide blocks inside each shard otherwise.
+        if shards is None:
+            self._shard_blocks = [[(0, n)]]
+        else:
+            self._shard_blocks = [
+                [
+                    (c, min(c + self.tile_rows, shard.stop))
+                    for c in range(shard.start, shard.stop, self.tile_rows)
+                ]
+                for shard in shards
+                if len(shard) > 0
+            ]
         # Reusable RBF row norms: computed once, sliced per tile per sweep.
-        self.row_norms: Optional[np.ndarray] = (
-            squared_row_norms(self._points_c) if self.kernel is KernelType.RBF else None
-        )
+        self.row_norms: Optional[np.ndarray] = None
+        if self.kernel is KernelType.RBF:
+            self.row_norms = np.empty(n, dtype=self.compute_dtype)
+            for start, stop in self.tiles:
+                self.row_norms[start:stop] = squared_row_norms(self._rows(start, stop))
         # Attach to the module-wide shared pool rather than spawning one per
         # operator: pipelines are created per fit, worker threads are not.
-        self.pool = pool if pool is not None else shared_pool(num_threads)
-        capacity = int(cache_mb * 1024 * 1024)
-        working_set = n * n * self.compute_dtype.itemsize
+        self.pool = shared_pool(num_threads)
+        if cache_mb is None:
+            capacity = int(DEFAULT_TILE_CACHE_MB * 1024 * 1024)
+            budget = active_memory_budget()
+            if budget is not None:
+                # The default cache must not become the thing that blows
+                # the budget: it gets a quarter, the rest is left to
+                # streamed blocks and solver vectors.
+                capacity = min(capacity, budget // 4)
+        else:
+            capacity = int(cache_mb * 1024 * 1024)
+        columns = sum(stop - start for blocks in self._shard_blocks for start, stop in blocks)
+        working_set = n * columns * self.compute_dtype.itemsize
         self.cache: Optional[TileCache] = None
         if capacity > 0 and (working_set <= capacity or force_cache):
             self.cache = TileCache(capacity)
-        # Instance counters (the global profiling counters aggregate these).
+        # Instance counters (the telemetry context aggregates these).
         self.sweeps = 0
         self.tiles_computed = 0
         self._count_lock = threading.Lock()
 
     @property
     def num_tiles(self) -> int:
-        return len(self.tiles)
+        """Tiles evaluated (or replayed from the cache) by one sweep."""
+        return len(self.tiles) * sum(len(blocks) for blocks in self._shard_blocks)
 
     @property
     def cache_enabled(self) -> bool:
         return self.cache is not None
 
-    def _compute_tile(self, start: int, stop: int) -> np.ndarray:
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Points ``[start, stop)`` in ``compute_dtype``."""
+        if self._points_c is not None:
+            return self._points_c[start:stop]
+        return np.asarray(self.points.row_block(start, stop), dtype=self.compute_dtype)
+
+    def _tile(
+        self,
+        index: int,
+        block: Tuple[int, int],
+        cols: np.ndarray,
+        stats: _SweepStats,
+    ) -> np.ndarray:
+        """Kernel tile of row tile ``index`` against the column ``block``.
+
+        Served from the cache when enabled; ``cols`` are the block's points
+        in ``compute_dtype``.
+        """
+        key = (index, block[0])
+        if self.cache is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                with stats.lock:
+                    stats.hits += 1
+                return cached
+            with stats.lock:
+                stats.misses += 1
+        start, stop = self.tiles[index]
+        norms = self.row_norms
         tile = kernel_matrix(
-            self._points_c[start:stop],
-            self._points_c,
+            self._rows(start, stop),
+            cols,
             self.kernel,
             gamma=self.gamma,
             degree=self.degree,
             coef0=self.coef0,
-            a_sq=None if self.row_norms is None else self.row_norms[start:stop],
-            b_sq=self.row_norms,
-        )
-        return tile.astype(self.compute_dtype, copy=False)
-
-    def tile(self, index: int, _stats: Optional[_SweepStats] = None) -> np.ndarray:
-        """Fetch tile ``index``, via the cache when enabled."""
-        start, stop = self.tiles[index]
-        if self.cache is not None:
-            cached = self.cache.get(index)
-            if cached is not None:
-                if _stats is not None:
-                    with _stats.lock:
-                        _stats.hits += 1
-                return cached
-            if _stats is not None:
-                with _stats.lock:
-                    _stats.misses += 1
-        tile = self._compute_tile(start, stop)
+            a_sq=None if norms is None else norms[start:stop],
+            b_sq=None if norms is None else norms[block[0]:block[1]],
+        ).astype(self.compute_dtype, copy=False)
         with self._count_lock:
             self.tiles_computed += 1
-        if _stats is not None:
-            with _stats.lock:
-                _stats.computed += 1
+        with stats.lock:
+            stats.computed += 1
         if self.cache is not None:
-            evicted, oversized = self.cache.put(index, tile)
-            if _stats is not None:
-                with _stats.lock:
-                    _stats.evictions += evicted
-                    _stats.oversized += int(oversized)
+            evicted, oversized = self.cache.put(key, tile)
+            with stats.lock:
+                stats.evictions += evicted
+                stats.oversized += int(oversized)
         return tile
+
+    def _sweep_shard(
+        self,
+        blocks: List[Tuple[int, int]],
+        V: np.ndarray,
+        target: np.ndarray,
+        stats: _SweepStats,
+    ) -> None:
+        """``target = K[:, shard] @ V[shard]``, one column block at a time."""
+        for b, block in enumerate(blocks):
+            cols = self._rows(*block)
+            Vb = V[block[0]:block[1]]
+
+            def run(index: int, first: bool = b == 0) -> None:
+                start, stop = self.tiles[index]
+                # Row tiles are disjoint in target, so workers don't race.
+                if first:
+                    target[start:stop] = self._tile(index, block, cols, stats) @ Vb
+                else:
+                    target[start:stop] += self._tile(index, block, cols, stats) @ Vb
+
+            self.pool.map_tasks(run, range(len(self.tiles)))
+
+    def _operands(self, V, rows: int, out, product: str):
+        """Validate ``V`` and ``out``; return ``(V2, out2, result)``.
+
+        ``V2`` is ``V`` as a contiguous 2-D block in ``compute_dtype``: the
+        per-tile GEMM runs in the compute precision and is upcast on
+        assignment into the ``dtype`` output, so everything downstream of
+        the sweep stays full precision. Workers assign 2-D tile products
+        into ``out2``, a 2-D view of the returned ``result`` (``rows`` long
+        for a vector ``V``, ``rows × k`` for a block). A caller's ``out``
+        is validated up front: a shape/dtype mismatch would otherwise
+        surface as an opaque broadcast error inside the pool.
+        """
+        n = self.points.shape[0]
+        V = np.asarray(V, dtype=self.dtype)
+        squeeze = V.ndim == 1
+        V2 = V[:, None] if squeeze else V
+        if V2.ndim != 2 or V2.shape[0] != n:
+            raise InvalidParameterError(
+                f"operand of shape {V.shape} does not match {n} pipeline rows"
+            )
+        V2 = np.ascontiguousarray(V2, dtype=self.compute_dtype)
+        k = V2.shape[1]
+        if out is None:
+            out2 = np.empty((rows, k), dtype=self.dtype)
+            return V2, out2, (out2[:, 0] if squeeze else out2)
+        expected = (rows,) if squeeze else (rows, k)
+        if not isinstance(out, np.ndarray) or out.shape != expected:
+            got = out.shape if isinstance(out, np.ndarray) else type(out).__name__
+            raise InvalidParameterError(
+                f"out must be a numpy array of shape {expected} to receive "
+                f"{product}, got {got}"
+            )
+        if out.dtype != self.dtype:
+            raise InvalidParameterError(
+                f"out must have dtype {self.dtype}, got {out.dtype}"
+            )
+        return V2, (out[:, None] if squeeze else out), out
 
     def sweep(self, V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Compute ``K @ V`` with one pass over the tiles.
@@ -336,53 +474,26 @@ class TilePipeline:
         shape (``(n,)`` for a vector ``V``, ``(n, k)`` for a block) and the
         pipeline's ``dtype``; the sweep writes into it and returns it.
         """
-        V = np.asarray(V, dtype=self.dtype)
-        squeeze = V.ndim == 1
-        V2 = V[:, None] if squeeze else V
         n = self.points.shape[0]
-        if V2.ndim != 2 or V2.shape[0] != n:
-            raise InvalidParameterError(
-                f"operand of shape {V.shape} does not match {n} pipeline rows"
-            )
-        # Mixed precision: the per-tile GEMM runs in compute_dtype, the
-        # result is upcast on assignment into the dtype-precision output,
-        # so everything downstream of the sweep stays full precision.
-        V2 = np.ascontiguousarray(V2, dtype=self.compute_dtype)
+        V2, out2, result = self._operands(V, n, out, "K @ V")
         k = V2.shape[1]
-        if out is None:
-            out2 = np.empty((n, k), dtype=self.dtype)
-            result = out2[:, 0] if squeeze else out2
-        else:
-            # Validate up front: the workers assign 2-D tile products into
-            # slices of this buffer, and a shape/dtype mismatch would
-            # otherwise surface as an opaque broadcast error inside the pool.
-            expected = (n,) if squeeze else (n, k)
-            if not isinstance(out, np.ndarray) or out.shape != expected:
-                got = out.shape if isinstance(out, np.ndarray) else type(out).__name__
-                raise InvalidParameterError(
-                    f"out must be a numpy array of shape {expected} to receive "
-                    f"K @ V, got {got}"
-                )
-            if out.dtype != self.dtype:
-                raise InvalidParameterError(
-                    f"out must have dtype {self.dtype}, got {out.dtype}"
-                )
-            # A (n,) out gets a 2-D write-through view so the tile products
-            # assign without broadcasting surprises.
-            out2 = out[:, None] if squeeze else out
-            result = out
 
         stats = _SweepStats()
-
-        def run(index: int) -> None:
-            start, stop = self.tiles[index]
-            out2[start:stop] = self.tile(index, _stats=stats) @ V2
-
         # Resolved in the *calling* thread — the worker pool is shared
         # across fits, so only the sweep caller knows which fit this is.
         ctx = current_context()
         with ctx.span("tile_sweep", tiles=self.num_tiles, columns=k) as span:
-            self.pool.map_tasks(run, range(self.num_tiles))
+            if len(self._shard_blocks) == 1:
+                self._sweep_shard(self._shard_blocks[0], V2, out2, stats)
+            else:
+                partials: List[np.ndarray] = []
+                for blocks in self._shard_blocks:
+                    partial = np.empty((n, k), dtype=self.dtype)
+                    self._sweep_shard(blocks, V2, partial, stats)
+                    partials.append(partial)
+                    if len(partials) >= _FOLD_PARTIALS:
+                        partials = [sum_partials(partials)]
+                out2[...] = sum_partials(partials)
         self.sweeps += 1
 
         ctx.inc("tile_sweeps")
@@ -420,6 +531,10 @@ class TilePipeline:
         either way the cost is one pass over the query tiles. Results are
         accumulated into the pipeline ``dtype``.
         """
+        if self._points_c is None:
+            raise InvalidParameterError(
+                "cross_sweep needs in-memory points, not a row source"
+            )
         Q = np.asarray(Q)
         if Q.ndim == 1:
             Q = Q[None, :]
@@ -428,34 +543,10 @@ class TilePipeline:
                 f"query block of shape {Q.shape} does not match "
                 f"{self.points.shape[1]} pipeline features"
             )
-        n = self.points.shape[0]
-        V = np.asarray(V, dtype=self.dtype)
-        squeeze = V.ndim == 1
-        V2 = V[:, None] if squeeze else V
-        if V2.ndim != 2 or V2.shape[0] != n:
-            raise InvalidParameterError(
-                f"operand of shape {V.shape} does not match {n} pipeline rows"
-            )
         Qc = np.ascontiguousarray(Q, dtype=self.compute_dtype)
-        Vc = np.ascontiguousarray(V2, dtype=self.compute_dtype)
-        q, k = Qc.shape[0], Vc.shape[1]
-        expected = (q,) if squeeze else (q, k)
-        if out is None:
-            out2 = np.empty((q, k), dtype=self.dtype)
-            result = out2[:, 0] if squeeze else out2
-        else:
-            if not isinstance(out, np.ndarray) or out.shape != expected:
-                got = out.shape if isinstance(out, np.ndarray) else type(out).__name__
-                raise InvalidParameterError(
-                    f"out must be a numpy array of shape {expected} to receive "
-                    f"K(Q, points) @ V, got {got}"
-                )
-            if out.dtype != self.dtype:
-                raise InvalidParameterError(
-                    f"out must have dtype {self.dtype}, got {out.dtype}"
-                )
-            out2 = out[:, None] if squeeze else out
-            result = out
+        q = Qc.shape[0]
+        Vc, out2, result = self._operands(V, q, out, "K(Q, points) @ V")
+        k = Vc.shape[1]
 
         rows = int(tile_rows) if tile_rows is not None else self.tile_rows
         if rows <= 0:

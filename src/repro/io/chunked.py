@@ -17,8 +17,8 @@ the out-of-core tier (ROADMAP "Out-of-core + sample-sharded training"):
   block of memory. Subsequent opens reuse the spill cache when it is newer
   than the source.
 * :class:`ArrayRowSource` adapts an in-memory array to the same row-block
-  interface, so ``RowShardedQMatrix`` and the solvers can consume either
-  without branching.
+  interface, so ``ImplicitQMatrix``'s row-shard path and the solvers can
+  consume either without branching.
 
 Labels are always held in memory (O(m) floats — negligible next to the
 ``m × d`` matrix).

@@ -17,7 +17,7 @@ import atexit
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .partition import BlockRange, chunk_ranges
 
@@ -57,14 +57,18 @@ class ThreadPool:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
 
-    def _ensure_executor(self) -> ThreadPoolExecutor:
+    def _map(self, func: Callable, items: Sequence) -> List:
+        # Submission happens under the lock that shutdown() swaps the
+        # executor out under, so no task is ever handed to an executor that
+        # is shutting down; results are collected outside the lock.
         with self._lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
                     max_workers=self.num_threads, thread_name_prefix="plssvm-omp"
                 )
                 atexit.register(self.shutdown)
-            return self._executor
+            results = self._executor.map(func, items)
+        return list(results)
 
     def map_blocks(
         self, func: Callable[[BlockRange], T], total: int, *, chunks: Optional[int] = None
@@ -74,22 +78,24 @@ class ThreadPool:
         ranges = [r for r in chunk_ranges(total, n_chunks) if len(r) > 0]
         if self.num_threads == 1 or len(ranges) <= 1:
             return [func(r) for r in ranges]
-        executor = self._ensure_executor()
-        return list(executor.map(func, ranges))
+        return self._map(func, ranges)
 
     def map_tasks(self, func: Callable[[T], object], tasks: Sequence[T]) -> List[object]:
         """Apply ``func`` to an explicit task list (used by the device backends)."""
         if self.num_threads == 1 or len(tasks) <= 1:
             return [func(t) for t in tasks]
-        executor = self._ensure_executor()
-        return list(executor.map(func, tasks))
+        return self._map(func, tasks)
 
     def shutdown(self) -> None:
-        """Tear down the worker threads (idempotent)."""
+        """Tear down the worker threads (idempotent).
+
+        Later calls respawn a fresh executor, so a shut-down pool keeps
+        working for every holder.
+        """
         with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "ThreadPool":
         return self
@@ -98,33 +104,25 @@ class ThreadPool:
         self.shutdown()
 
 
-_default_pool: Optional[ThreadPool] = None
-_default_pool_lock = threading.Lock()
-
-
-def _get_default_pool(num_threads: Optional[int]) -> ThreadPool:
-    global _default_pool
-    with _default_pool_lock:
-        if (
-            _default_pool is None
-            or (num_threads is not None and _default_pool.num_threads != num_threads)
-        ):
-            if _default_pool is not None:
-                _default_pool.shutdown()
-            _default_pool = ThreadPool(num_threads)
-        return _default_pool
+_pools: Dict[int, ThreadPool] = {}
+_pools_lock = threading.Lock()
 
 
 def shared_pool(num_threads: Optional[int] = None) -> ThreadPool:
-    """The module-wide default pool (also used by :func:`parallel_for`).
+    """The module-wide pool for ``num_threads`` workers (also used by :func:`parallel_for`).
 
     Long-lived consumers like the kernel-tile pipeline attach here instead
     of spawning a pool per operator, so repeated fits reuse one set of
-    worker threads. Requesting a different ``num_threads`` swaps the shared
-    pool; earlier holders keep working (a :class:`ThreadPool` transparently
-    respawns its executor after shutdown).
+    worker threads. There is one pool per thread count (``None`` resolves
+    through :func:`available_threads`), and asking for another count
+    never shuts down a pool that earlier holders still use.
     """
-    return _get_default_pool(num_threads)
+    n = available_threads() if num_threads is None else int(num_threads)
+    with _pools_lock:
+        pool = _pools.get(n)
+        if pool is None:
+            pool = _pools[n] = ThreadPool(n)
+        return pool
 
 
 def parallel_for(
@@ -139,5 +137,4 @@ def parallel_for(
     Equivalent to ``#pragma omp parallel for schedule(static)`` over
     ``range(total)`` with the loop body vectorized per chunk.
     """
-    pool = _get_default_pool(num_threads)
-    return pool.map_blocks(func, total, chunks=chunks)
+    return shared_pool(num_threads).map_blocks(func, total, chunks=chunks)

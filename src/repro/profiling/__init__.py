@@ -7,14 +7,7 @@ statistics (mean, std, coefficient of variation) used in §IV-C.
 """
 
 from .roofline import KernelRooflineStats, format_roofline, roofline_report
-from .stats import (
-    SolverCounters,
-    TimingStats,
-    coefficient_of_variation,
-    reset_solver_counters,
-    solver_counters,
-    summarize,
-)
+from .stats import TimingStats, coefficient_of_variation, summarize
 from .timer import ComponentTimer, Timer
 
 __all__ = [
@@ -26,7 +19,4 @@ __all__ = [
     "roofline_report",
     "format_roofline",
     "KernelRooflineStats",
-    "SolverCounters",
-    "solver_counters",
-    "reset_solver_counters",
 ]

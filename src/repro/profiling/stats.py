@@ -18,9 +18,6 @@ __all__ = [
     "coefficient_of_variation",
     "summarize",
     "speedup",
-    "SolverCounters",
-    "solver_counters",
-    "reset_solver_counters",
 ]
 
 
@@ -72,202 +69,3 @@ def speedup(baseline: float, contender: float) -> float:
     if baseline < 0:
         raise ValueError("baseline runtime must be non-negative")
     return baseline / contender
-
-
-@dataclasses.dataclass
-class SolverCounters:
-    """Process-wide counters of the shared kernel-tile pipeline.
-
-    Every :class:`repro.core.tile_pipeline.TilePipeline` folds its per-sweep
-    activity in here, so benchmarks and the CLI can report how much kernel
-    work the solver actually performed — and how much the cross-iteration
-    tile cache saved — without threading a stats object through every layer.
-
-    Attributes
-    ----------
-    tile_sweeps:
-        Full passes over the tiled kernel matrix (one per block-CG
-        iteration, regardless of how many right-hand sides ride along).
-    tiles_computed:
-        Kernel tiles evaluated from scratch (cache misses + uncached runs).
-    cache_hits / cache_misses / cache_evictions:
-        Cross-iteration tile cache traffic.
-    cg_solves / cg_iterations:
-        Completed CG solves (single-RHS and block alike) and their summed
-        iteration counts — the numerator/denominator of the
-        iteration-reduction story preconditioning tells.
-    precond_setups / precond_setup_seconds / precond_rank:
-        Preconditioner constructions via
-        :func:`repro.core.precond.make_preconditioner`: how many, their
-        summed setup wall time, and the realized rank of the most recent
-        one (0 for Jacobi).
-    cache_oversized:
-        Tiles that bypassed the cache because a single tile alone would
-        exceed the configured byte budget.
-    devices_lost / redistributions / checkpoint_restores:
-        Fault-recovery activity of :func:`repro.core.resilience.resilient_solve`:
-        devices declared dead, feature-split redistributions onto the
-        survivors, and CG restarts from a mid-solve checkpoint.
-    transient_retries / backoff_seconds:
-        Retries of transient device faults and the total (modeled)
-        exponential-backoff delay they accrued.
-    """
-
-    tile_sweeps: int = 0
-    tiles_computed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_oversized: int = 0
-    cg_solves: int = 0
-    cg_iterations: int = 0
-    precond_setups: int = 0
-    precond_setup_seconds: float = 0.0
-    precond_rank: int = 0
-    devices_lost: int = 0
-    redistributions: int = 0
-    checkpoint_restores: int = 0
-    transient_retries: int = 0
-    backoff_seconds: float = 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of tile lookups served from the cache (0 when unused)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "tile_sweeps": self.tile_sweeps,
-            "tiles_computed": self.tiles_computed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "cache_oversized": self.cache_oversized,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cg_solves": self.cg_solves,
-            "cg_iterations": self.cg_iterations,
-            "precond_setups": self.precond_setups,
-            "precond_setup_seconds": self.precond_setup_seconds,
-            "precond_rank": self.precond_rank,
-            "devices_lost": self.devices_lost,
-            "redistributions": self.redistributions,
-            "checkpoint_restores": self.checkpoint_restores,
-            "transient_retries": self.transient_retries,
-            "backoff_seconds": self.backoff_seconds,
-        }
-
-    def reset(self) -> None:
-        self.tile_sweeps = 0
-        self.tiles_computed = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.cache_oversized = 0
-        self.cg_solves = 0
-        self.cg_iterations = 0
-        self.precond_setups = 0
-        self.precond_setup_seconds = 0.0
-        self.precond_rank = 0
-        self.devices_lost = 0
-        self.redistributions = 0
-        self.checkpoint_restores = 0
-        self.transient_retries = 0
-        self.backoff_seconds = 0.0
-
-
-class _RootCountersProxy:
-    """Deprecated live view of the telemetry root context's solver metrics.
-
-    Quacks like the old process-wide :class:`SolverCounters` instance:
-    attribute reads resolve against the root
-    :class:`repro.telemetry.MetricsRegistry` *at access time* (so holding
-    the object across a solve and reading afterwards sees the new
-    totals, exactly like the old mutable singleton), and attribute
-    writes forward into the registry for any legacy code that still
-    mutates counters directly.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _registry():
-        from ..telemetry.context import root_context
-
-        return root_context().metrics
-
-    def __getattr__(self, name: str):
-        from ..telemetry.metrics import SOLVER_COUNTER_NAMES, SOLVER_GAUGE_NAMES
-
-        if name in SOLVER_COUNTER_NAMES or name in SOLVER_GAUGE_NAMES:
-            return self._registry().value(name)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        from ..telemetry.metrics import SOLVER_COUNTER_NAMES, SOLVER_GAUGE_NAMES
-
-        registry = self._registry()
-        if name in SOLVER_GAUGE_NAMES:
-            registry.gauge(name).set(value)
-        elif name in SOLVER_COUNTER_NAMES:
-            registry.counter(name).set(value)
-        else:
-            raise AttributeError(name)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of tile lookups served from the cache (0 when unused)."""
-        hits = self.cache_hits
-        total = hits + self.cache_misses
-        return hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return self._registry().solver_counters_dict()
-
-    def reset(self) -> None:
-        from ..telemetry.context import reset_root_context
-
-        reset_root_context()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SolverCounters(proxy over telemetry root, {self.as_dict()!r})"
-
-
-_SOLVER_COUNTERS = _RootCountersProxy()
-
-
-def _warn_deprecated(name: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"repro.profiling.{name}() is deprecated; per-fit numbers live on "
-        "model.report_ (repro.telemetry.TrainingReport), aggregates on "
-        "repro.telemetry.root_context().",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def solver_counters() -> _RootCountersProxy:
-    """Deprecated: the process-wide solver-counter aggregate.
-
-    .. deprecated::
-        Use ``model.report_`` (a :class:`repro.telemetry.TrainingReport`)
-        for per-fit numbers, or :func:`repro.telemetry.root_context` for
-        process-wide aggregates. This shim now proxies the telemetry root
-        context so aggregate semantics are unchanged.
-    """
-    _warn_deprecated("solver_counters")
-    return _SOLVER_COUNTERS
-
-
-def reset_solver_counters() -> None:
-    """Deprecated: zero the process-wide solver counters.
-
-    .. deprecated::
-        Use :func:`repro.telemetry.reset_root_context`.
-    """
-    _warn_deprecated("reset_solver_counters")
-    from ..telemetry.context import reset_root_context
-
-    reset_root_context()

@@ -1,13 +1,14 @@
 """The warm per-model prediction engine behind the serving subsystem.
 
-Offline, ``LSSVMModel.decision_function`` re-derives everything a kernel
-evaluation needs on every call: the RBF support-vector norms, any
-``compute_dtype`` cast of the support set, and (implicitly) a thread to
-run on. Amortized over one CLI invocation that is noise; amortized over a
-server's lifetime it is the entire point — kernel-SVM inference cost is
-dominated by evaluating kernel rows against the support set (the same
-observation PLSSVM's training pipeline exploits), and all of the
+A cold prediction path would re-derive everything a kernel evaluation
+needs on every call: the RBF support-vector norms, any ``compute_dtype``
+cast of the support set, and (implicitly) a thread to run on. Amortized
+over a server's lifetime that is the entire point — kernel-SVM inference
+cost is dominated by evaluating kernel rows against the support set (the
+same observation PLSSVM's training pipeline exploits), and all of the
 row-independent half of that work can be hoisted to model-load time.
+Offline ``LSSVMModel.decision_function`` goes through the model's own
+cached engine too, so there is one prediction path.
 
 A :class:`PredictionEngine` does that hoisting: it owns a loaded
 :class:`~repro.core.model.LSSVMModel` plus a warm
@@ -15,7 +16,8 @@ A :class:`PredictionEngine` does that hoisting: it owns a loaded
 (precomputed row norms, compute-dtype cast, shared worker pool) and
 routes every prediction through
 :meth:`~repro.core.tile_pipeline.TilePipeline.cross_sweep` — threaded,
-budget-tiled, mixed-precision capable — instead of the naive path.
+budget-tiled (one query tile stays under 64 MiB and 1024 rows),
+mixed-precision capable.
 ``predict`` is thread-safe and stateless per call, so one engine serves
 arbitrarily many concurrent callers (the micro-batcher counts on it).
 
@@ -36,7 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.model import FeatureMapModel, LSSVMModel
-from ..core.tile_pipeline import TilePipeline
+from ..core.tile_pipeline import TilePipeline, _prediction_tile_rows
 from ..exceptions import DataError
 from ..telemetry.context import current_context
 from ..types import KernelType
@@ -59,10 +61,6 @@ class PredictionEngine:
         bandwidth per request); decision values are accumulated back into
         the model's ``dtype``. ``None`` keeps full precision — and with
         it bit-identity against ``model.predict``.
-    tile_rows:
-        Row-tile height over the *query* rows of each batch; bounds peak
-        memory at ``tile_rows * num_support_vectors`` kernel entries per
-        worker.
     name / generation:
         Registry bookkeeping: the model's registered name and the
         hot-swap generation this engine was built from. Stamped into
@@ -75,7 +73,6 @@ class PredictionEngine:
         *,
         solver_threads: Optional[int] = None,
         compute_dtype=None,
-        tile_rows: int = 1024,
         name: str = "default",
         generation: int = 0,
     ) -> None:
@@ -101,7 +98,7 @@ class PredictionEngine:
                 gamma=param.gamma,
                 degree=param.degree,
                 coef0=param.coef0,
-                tile_rows=tile_rows,
+                tile_rows=_prediction_tile_rows(model.num_support_vectors, param.dtype),
                 num_threads=solver_threads,
                 cache_mb=0.0,
                 dtype=param.dtype,
@@ -183,9 +180,9 @@ class PredictionEngine:
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """``f(x)`` per row, through the warm tile pipeline.
 
-        Matches ``LSSVMModel.decision_function`` bit for bit at full
-        precision: the same kernel expressions run on the same dtype, the
-        pipeline merely supplies the precomputed halves.
+        ``LSSVMModel.decision_function`` is this method on the model's own
+        cached engine, so offline and served values are bit-identical at
+        full precision.
         """
         X = self._validate(X)
         if self._weight is not None:

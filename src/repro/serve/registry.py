@@ -75,7 +75,7 @@ class ModelRegistry:
         are a name and a path). ``0`` keeps nothing warm — every ``get``
         builds a throwaway engine, which still works but forfeits the
         amortization.
-    solver_threads / compute_dtype / tile_rows:
+    solver_threads / compute_dtype:
         Forwarded to every engine built by this registry.
     """
 
@@ -85,7 +85,6 @@ class ModelRegistry:
         budget_mb: float = DEFAULT_REGISTRY_MB,
         solver_threads: Optional[int] = None,
         compute_dtype=None,
-        tile_rows: int = 1024,
     ) -> None:
         if budget_mb < 0:
             raise InvalidParameterError("budget_mb must be non-negative")
@@ -93,7 +92,6 @@ class ModelRegistry:
         self._engine_kwargs = {
             "solver_threads": solver_threads,
             "compute_dtype": compute_dtype,
-            "tile_rows": tile_rows,
         }
         self._registrations: Dict[str, _Registration] = {}
         self._warm: "OrderedDict[str, PredictionEngine]" = OrderedDict()

@@ -3,18 +3,15 @@
 PLSSVM v1.0.1 densifies sparse inputs ("in the case of very sparse data
 sets ... it is therefore better to use ThunderSVM", §V) and names sparse
 CG support as a canonical next step. This package delivers it for the
-linear kernel:
-
-* :mod:`repro.sparse.csr` — a self-contained CSR matrix with the two
-  products the implicit matvec needs (``A @ v`` and ``A.T @ v``);
-* :mod:`repro.sparse.qmatrix` — :class:`SparseImplicitQMatrix`, a drop-in
-  Q_tilde operator whose kernel matvec runs entirely on the CSR structure:
-  per CG iteration it costs O(nnz) instead of O(m d).
+linear kernel: :mod:`repro.sparse.csr` is a self-contained CSR matrix with
+the two products the implicit matvec needs (``A @ v`` and ``A.T @ v``).
+Handed to :class:`repro.core.qmatrix.ImplicitQMatrix`, it makes the
+kernel matvec run entirely on the CSR structure: per CG iteration it
+costs O(nnz) instead of O(m d).
 
 Enable it through ``LSSVC(sparse=True)`` (linear kernel only).
 """
 
 from .csr import CSRMatrix
-from .qmatrix import SparseImplicitQMatrix
 
-__all__ = ["CSRMatrix", "SparseImplicitQMatrix"]
+__all__ = ["CSRMatrix"]

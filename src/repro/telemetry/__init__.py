@@ -11,8 +11,8 @@ Public surface
 :class:`MetricsRegistry` and friends
     The counter/gauge/histogram primitives backing each context.
 
-This package replaces the process-global ``solver_counters()`` singleton
-(now a deprecated shim over :func:`root_context`).
+Process-wide aggregates live on :func:`root_context`; per-fit numbers on
+each estimator's ``report_``.
 """
 
 from .context import (

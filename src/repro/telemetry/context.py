@@ -14,13 +14,12 @@ hyper-parameter sweeps, multi-GPU training — silently corrupted. A
   tile_sweep``) recording where wall time went, with bounded retention
   (``max_spans``) so production fits cannot grow memory without limit;
 * it carries a **metrics registry** (counters / gauges / histograms,
-  pre-registered with the legacy ``SolverCounters`` fields) plus
+  pre-registered with the solver counters) plus
   collectors for the three previously disconnected streams: profiling
   counters, simulated-device traces, and the resilience audit log;
 * metric increments **bubble to ancestors**, ending at the process-wide
-  root context — which is exactly what the deprecated
-  :func:`repro.profiling.solver_counters` shim reads, so aggregate
-  numbers (benchmarks, the CLI resilience summary) remain correct.
+  root context (:func:`root_context`), so aggregate numbers (benchmarks,
+  the CLI resilience summary) stay correct.
 
 Instrumented sites never hold a context; they call
 :func:`current_context` at the reporting moment, which makes the
@@ -264,7 +263,7 @@ class TelemetryContext:
     # -- reporting ------------------------------------------------------------
 
     def solver_counters_dict(self) -> Dict[str, Union[int, float]]:
-        """This context's SolverCounters-shaped metric view."""
+        """This context's solver-counter metric view."""
         return self.metrics.solver_counters_dict()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -281,7 +280,7 @@ _ROOT_LOCK = threading.Lock()
 
 
 def root_context() -> TelemetryContext:
-    """The process-wide aggregate context (the deprecated shim's backing)."""
+    """The process-wide aggregate context every other context bubbles into."""
     return _ROOT
 
 

@@ -9,13 +9,11 @@ Three metric kinds, mirroring the usual observability trio:
   repeated observations (``sweep_seconds``, ``iteration_seconds``), kept
   O(1) per observation so the solver's hot loop can afford it.
 
-A :class:`MetricsRegistry` holds one namespace of metrics. The fields of
-the legacy ``SolverCounters`` dataclass are pre-registered as typed
-metrics (every field a counter except ``precond_rank``, which is a
-gauge), so a registry snapshot can always be materialized back into a
-``SolverCounters``-shaped dict — that is what keeps the deprecated
-:func:`repro.profiling.solver_counters` shim and the benchmark output
-byte-compatible.
+A :class:`MetricsRegistry` holds one namespace of metrics. The solver
+counters (:data:`SOLVER_COUNTER_NAMES`, plus the ``precond_rank`` gauge)
+are pre-registered as typed metrics, so a registry snapshot can always be
+materialized into the solver-counter dict that ``TrainingReport.counters``
+and the benchmark output carry.
 """
 
 from __future__ import annotations
@@ -33,10 +31,10 @@ __all__ = [
     "SOLVER_GAUGE_NAMES",
 ]
 
-#: SolverCounters fields that accumulate (everything but the rank gauge).
-#: Telemetry sits below profiling in the import graph, so the list is the
-#: canonical definition here; a regression test keeps it in lockstep with
-#: the :class:`repro.profiling.stats.SolverCounters` dataclass fields.
+#: Solver counters that accumulate (everything but the rank gauge):
+#: tile sweeps and tiles computed by the tile pipeline, cache traffic,
+#: CG solves and iterations, preconditioner setups, and the fault-recovery
+#: activity of the resilient CG driver.
 SOLVER_COUNTER_NAMES: List[str] = [
     "tile_sweeps",
     "tiles_computed",
@@ -55,12 +53,12 @@ SOLVER_COUNTER_NAMES: List[str] = [
     "backoff_seconds",
 ]
 
-#: SolverCounters fields that are last-write-wins samples.
+#: Solver metrics that are last-write-wins samples.
 SOLVER_GAUGE_NAMES: List[str] = ["precond_rank"]
 
 
 class Counter:
-    """Monotonic tally. ``inc`` adds; ``set`` exists for the legacy shim."""
+    """Monotonic tally."""
 
     kind = "counter"
     __slots__ = ("name", "value")
@@ -71,9 +69,6 @@ class Counter:
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         self.value += amount
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
 
     def snapshot(self) -> Union[int, float]:
         return self.value
@@ -234,7 +229,7 @@ class MetricsRegistry:
         return {m.name: m.snapshot() for m in metrics}
 
     def solver_counters_dict(self) -> Dict[str, Union[int, float]]:
-        """The SolverCounters-shaped view (incl. derived cache_hit_rate)."""
+        """The solver-counter view (incl. derived cache_hit_rate)."""
         out: Dict[str, Union[int, float]] = {}
         for name in SOLVER_COUNTER_NAMES:
             out[name] = self.value(name)

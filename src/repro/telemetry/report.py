@@ -199,7 +199,7 @@ class TrainingReport:
     solver:
         Iterations, final relative residual, termination status.
     counters:
-        SolverCounters-shaped tallies scoped to *this fit only*, with the
+        Solver-counter tallies scoped to *this fit only*, with the
         derived ``cache_hit_rate``.
     metrics:
         Full typed-metric snapshot (counters, gauges, histograms).

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.cg import conjugate_gradient, conjugate_gradient_block
-from repro.core.kernels import kernel_matrix, kernel_matrix_tiles, squared_row_norms
+from repro.core.kernels import kernel_matrix, squared_row_norms
 from repro.core.multiclass import OneVsAllLSSVC
 from repro.core.qmatrix import ExplicitQMatrix, ImplicitQMatrix
 from repro.core.tile_pipeline import TileCache, TilePipeline
 from repro.data.synthetic import make_multiclass
 from repro.exceptions import InvalidParameterError
 from repro.parameter import Parameter
-from repro.profiling import reset_solver_counters, solver_counters
+from repro.telemetry import reset_root_context, root_context
 from repro.types import KernelType, SolverStatus
 
 ALL_KERNELS = ["linear", "polynomial", "rbf", "sigmoid"]
@@ -25,9 +25,9 @@ def _param(kernel: str) -> Parameter:
 
 @pytest.fixture(autouse=True)
 def _clean_counters():
-    reset_solver_counters()
+    reset_root_context()
     yield
-    reset_solver_counters()
+    reset_root_context()
 
 
 class TestMatvecMulti:
@@ -115,11 +115,11 @@ class TestBlockCG:
         rng = np.random.default_rng(5)
         B = rng.standard_normal((q.shape[0], 6))
         result = conjugate_gradient_block(q, B, epsilon=1e-6)
-        counters = solver_counters()
+        sweeps = root_context().metrics.value("tile_sweeps")
         # One kernel-tile sweep per block iteration, NOT one per column:
         # a handful extra is allowed for residual recomputation restarts.
-        assert result.iterations <= counters.tile_sweeps <= result.iterations + 2
-        assert counters.tile_sweeps < result.iterations * B.shape[1]
+        assert result.iterations <= sweeps <= result.iterations + 2
+        assert sweeps < result.iterations * B.shape[1]
 
     def test_zero_rhs_block(self, planes_small, linear_param):
         X, y = planes_small
@@ -234,9 +234,9 @@ class TestTilePipeline:
         pipe.sweep(V)
         assert pipe.tiles_computed == pipe.num_tiles  # computed once only
         assert pipe.cache.hits == 2 * pipe.num_tiles
-        counters = solver_counters()
-        assert counters.tile_sweeps == 3
-        assert counters.cache_hits == 2 * pipe.num_tiles
+        counters = root_context().solver_counters_dict()
+        assert counters["tile_sweeps"] == 3
+        assert counters["cache_hits"] == 2 * pipe.num_tiles
 
     def test_cache_disabled_above_budget(self, planes_medium):
         X, _ = planes_medium
@@ -284,77 +284,70 @@ class TestTilePipeline:
 
 
 class TestKernelMatrixTilesEdges:
+    """Edge cases of the pipeline's tiling (tile height vs point count)."""
+
     def test_tile_rows_at_least_m_yields_single_tile(self, planes_small):
         X, _ = planes_small
-        tiles = list(
-            kernel_matrix_tiles(X, X, KernelType.RBF, gamma=0.05, tile_rows=10 * len(X))
-        )
-        assert len(tiles) == 1
-        rows, tile = tiles[0]
-        assert rows == slice(0, len(X))
+        pipe = TilePipeline(X, KernelType.RBF, gamma=0.05, tile_rows=10 * len(X))
+        assert pipe.tiles == [(0, len(X))]
+        assert pipe.num_tiles == 1
         np.testing.assert_allclose(
-            tile, kernel_matrix(X, X, KernelType.RBF, gamma=0.05)
+            pipe.sweep(np.eye(len(X))), kernel_matrix(X, X, KernelType.RBF, gamma=0.05)
         )
 
     def test_tile_rows_one(self, planes_small):
         X, _ = planes_small
         a = X[:7]
         dense = kernel_matrix(a, X, KernelType.POLYNOMIAL, gamma=0.05)
-        tiles = list(
-            kernel_matrix_tiles(a, X, KernelType.POLYNOMIAL, gamma=0.05, tile_rows=1)
+        pipe = TilePipeline(X, KernelType.POLYNOMIAL, gamma=0.05, tile_rows=1)
+        assert pipe.num_tiles == len(X)
+        assert all(stop - start == 1 for start, stop in pipe.tiles)
+        np.testing.assert_allclose(
+            pipe.cross_sweep(a, np.eye(len(X)), tile_rows=1), dense
         )
-        assert len(tiles) == 7
-        for rows, tile in tiles:
-            assert tile.shape == (1, len(X))
-            np.testing.assert_allclose(tile, dense[rows])
+        np.testing.assert_allclose(
+            pipe.sweep(np.eye(len(X)))[:7], dense
+        )
 
     def test_empty_second_operand(self, planes_small):
         X, _ = planes_small
-        empty = np.empty((0, X.shape[1]))
-        tiles = list(
-            kernel_matrix_tiles(X, empty, KernelType.LINEAR, tile_rows=32)
-        )
-        assert sum(tile.shape[0] for _, tile in tiles) == len(X)
-        assert all(tile.shape[1] == 0 for _, tile in tiles)
+        empty = TilePipeline(np.empty((0, X.shape[1])), KernelType.LINEAR, tile_rows=32)
+        assert empty.num_tiles == 0
+        out = empty.cross_sweep(X, np.empty(0))
+        assert out.shape == (len(X),)
+        assert not out.any()
 
     def test_precomputed_norms_match(self, planes_small):
         X, _ = planes_small
-        norms = squared_row_norms(X)
-        with_norms = np.vstack(
-            [
-                tile
-                for _, tile in kernel_matrix_tiles(
-                    X, X, KernelType.RBF, gamma=0.05, tile_rows=16,
-                    a_sq=norms, b_sq=norms,
-                )
-            ]
-        )
+        pipe = TilePipeline(X, KernelType.RBF, gamma=0.05, tile_rows=16)
+        np.testing.assert_array_equal(pipe.row_norms, squared_row_norms(X))
         np.testing.assert_allclose(
-            with_norms, kernel_matrix(X, X, KernelType.RBF, gamma=0.05),
+            pipe.sweep(np.eye(len(X))),
+            kernel_matrix(X, X, KernelType.RBF, gamma=0.05),
             rtol=1e-12, atol=1e-12,
         )
 
 
 class TestSolverCounters:
     def test_reset_and_exposure(self):
-        counters = solver_counters()
-        counters.tile_sweeps = 3
-        counters.cache_hits = 9
-        counters.cache_misses = 1
-        assert counters.cache_hit_rate == pytest.approx(0.9)
-        snapshot = counters.as_dict()
+        ctx = root_context()
+        ctx.inc("tile_sweeps", 3)
+        ctx.inc("cache_hits", 9)
+        ctx.inc("cache_misses", 1)
+        snapshot = ctx.solver_counters_dict()
+        assert snapshot["cache_hit_rate"] == pytest.approx(0.9)
         assert snapshot["tile_sweeps"] == 3 and snapshot["cache_hits"] == 9
-        reset_solver_counters()
-        assert solver_counters().tile_sweeps == 0
-        assert solver_counters().cache_hit_rate == 0.0
+        reset_root_context()
+        assert root_context().solver_counters_dict()["tile_sweeps"] == 0
+        assert root_context().solver_counters_dict()["cache_hit_rate"] == 0.0
 
     def test_shared_multiclass_fit_populates_counters(self):
         X, y = make_multiclass(150, 6, num_classes=3, rng=2)
         clf = OneVsAllLSSVC(kernel="rbf", C=10.0, implicit=True)
         clf.fit(X, y)
-        counters = solver_counters()
-        assert counters.tile_sweeps > 0
-        assert counters.cache_hits > 0  # cross-iteration tile reuse
+        counters = root_context().solver_counters_dict()
+        assert counters["tile_sweeps"] > 0
+        assert counters["cache_hits"] > 0  # cross-iteration tile reuse
 
 
 @pytest.mark.slow

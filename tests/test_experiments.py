@@ -295,8 +295,18 @@ class TestSummary:
 
     def test_variation_lssvm_steadier_than_smo(self):
         res = summary.run_variation(runs=4, num_points=256, num_features=16)
+        by = {row.meta["solver"]: row.values["iterations_cv"] for row in res.rows}
+        # The paper's core claim: CG's work varies much less than SMO's.
+        # Gated on iteration counts (seeds 100-103: CG 12/12/12/11, CV
+        # 0.04) so machine load cannot flip it.
+        assert by["plssvm"] < 0.1
+        assert by["plssvm"] < min(by["libsvm"], by["libsvm_dense"], by["thundersvm"])
+
+    @pytest.mark.slow
+    def test_variation_runtime_steadier_than_smo(self):
+        res = summary.run_variation(runs=10, num_points=256, num_features=16)
         by = {row.meta["solver"]: row.values["cv"] for row in res.rows}
-        # The paper's core claim: CG runtimes vary much less than SMO's.
+        # The same claim on wall-clock times, which load noise can blur.
         assert by["plssvm"] <= max(by["libsvm"], by["thundersvm"]) + 0.05
 
     def test_kernel_census_matches_paper_profiling(self):

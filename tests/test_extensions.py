@@ -31,7 +31,7 @@ from repro.exceptions import (
 from repro.model_selection import GridSearch, cross_val_score, kfold_indices
 from repro.parallel.partition import weighted_feature_split
 from repro.parameter import Parameter
-from repro.sparse import CSRMatrix, SparseImplicitQMatrix
+from repro.sparse import CSRMatrix
 
 
 class TestLSSVR:
@@ -309,6 +309,8 @@ class TestCSRMatrix:
 
 
 class TestSparseCG:
+    """The CSR input path of ``ImplicitQMatrix`` (linear kernel only)."""
+
     def test_sparse_qmatrix_matches_dense(self, rng):
         X, y = make_planes(100, 12, rng=7)
         X[np.abs(X) < 0.8] = 0.0
@@ -316,7 +318,7 @@ class TestSparseCG:
         from repro.core.qmatrix import ImplicitQMatrix
 
         dense = ImplicitQMatrix(X, y, param)
-        sparse = SparseImplicitQMatrix(X, y, param)
+        sparse = ImplicitQMatrix(CSRMatrix.from_dense(X), y, param)
         v = rng.standard_normal(99)
         assert np.allclose(dense.matvec(v), sparse.matvec(v), atol=1e-9)
 
@@ -328,21 +330,26 @@ class TestSparseCG:
         assert np.allclose(a.model_.alpha, b.model_.alpha, atol=1e-6)
 
     def test_sparse_rejects_nonlinear(self):
+        from repro.core.qmatrix import ImplicitQMatrix
+
         X, y = make_planes(50, 4, rng=9)
         with pytest.raises(InvalidParameterError):
-            SparseImplicitQMatrix(X, y, Parameter(kernel="rbf", gamma=0.5))
+            ImplicitQMatrix(CSRMatrix.from_dense(X), y, Parameter(kernel="rbf", gamma=0.5))
 
     def test_sparse_rejects_backend(self):
         with pytest.raises(DataError):
             LSSVC(kernel="linear", sparse=True, backend="cuda")
 
     def test_accepts_prebuilt_csr(self):
+        from repro.core.qmatrix import ImplicitQMatrix
+
         X, y = make_planes(60, 5, rng=10)
         X[np.abs(X) < 0.5] = 0.0
         csr = CSRMatrix.from_dense(X)
-        q = SparseImplicitQMatrix(csr, y, Parameter(kernel="linear"))
-        assert q.nnz == csr.nnz
-        assert 0 < q.density < 1
+        q = ImplicitQMatrix(csr, y, Parameter(kernel="linear"))
+        assert q.csr is csr
+        assert 0 < q.csr.density < 1
+        np.testing.assert_array_equal(q.X, X)
 
 
 class TestModelSelection:

@@ -23,7 +23,7 @@ from repro.exceptions import (
     FileFormatError,
     InvalidParameterError,
 )
-from repro.profiling import reset_solver_counters, solver_counters
+from repro.telemetry import reset_root_context, root_context
 from repro.parameter import Parameter
 from repro.simgpu.device import SimulatedDevice
 from repro.simgpu.spec import DeviceSpec
@@ -187,7 +187,7 @@ class TestTileCacheBudget:
     def test_oversized_tile_never_pins_the_cache_over_budget(self):
         """A single tile larger than the whole budget used to be retained,
         leaving the cache permanently over ``capacity_bytes``."""
-        reset_solver_counters()
+        reset_root_context()
         # 64x4 fp64 points -> one 16x64 tile is 8 KiB; budget far below that.
         points = np.random.default_rng(8).standard_normal((64, 4))
         pipe = TilePipeline(
@@ -199,7 +199,7 @@ class TestTileCacheBudget:
         assert len(pipe.cache) == 0
         assert pipe.cache.nbytes <= pipe.cache.capacity_bytes
         assert pipe.cache.oversized == pipe.num_tiles
-        assert solver_counters().cache_oversized == pipe.num_tiles
+        assert root_context().metrics.value("cache_oversized") == pipe.num_tiles
         # Nothing cached: the next sweep recomputes every tile.
         pipe.sweep(np.ones(64))
         assert pipe.tiles_computed == 2 * pipe.num_tiles
@@ -210,7 +210,7 @@ class TestConcurrentSweeps:
         """Concurrent sweeps used to reconstruct their counter deltas from
         before/after snapshots of the shared cache counters, so interleaved
         sweeps double- or under-counted. The flushed totals must be exact."""
-        reset_solver_counters()
+        reset_root_context()
         points = np.random.default_rng(9).standard_normal((128, 4))
         pipe = TilePipeline(points, "linear", tile_rows=16, num_threads=2, cache_mb=0)
         assert pipe.cache is None  # every tile of every sweep is computed
@@ -228,13 +228,13 @@ class TestConcurrentSweeps:
         for t in threads:
             t.join()
         total_sweeps = 4 * sweeps_per_thread
-        counters = solver_counters()
-        assert counters.tile_sweeps == total_sweeps
-        assert counters.tiles_computed == total_sweeps * pipe.num_tiles
+        counters = root_context().solver_counters_dict()
+        assert counters["tile_sweeps"] == total_sweeps
+        assert counters["tiles_computed"] == total_sweeps * pipe.num_tiles
         assert pipe.tiles_computed == total_sweeps * pipe.num_tiles
 
     def test_interleaved_cached_sweeps_split_hits_and_misses_exactly(self):
-        reset_solver_counters()
+        reset_root_context()
         points = np.random.default_rng(10).standard_normal((96, 4))
         pipe = TilePipeline(points, "linear", tile_rows=16, num_threads=2)
         assert pipe.cache is not None
@@ -250,13 +250,13 @@ class TestConcurrentSweeps:
             t.start()
         for t in threads:
             t.join()
-        counters = solver_counters()
+        counters = root_context().solver_counters_dict()
         # Every tile probe is either a hit or a miss, and every miss is a
         # compute: the flushed totals must tile the probe count exactly.
         total_probes = 3 * 6 * pipe.num_tiles
-        assert counters.cache_hits + counters.cache_misses == total_probes
-        assert counters.tiles_computed == counters.cache_misses
-        assert counters.tiles_computed >= pipe.num_tiles
+        assert counters["cache_hits"] + counters["cache_misses"] == total_probes
+        assert counters["tiles_computed"] == counters["cache_misses"]
+        assert counters["tiles_computed"] >= pipe.num_tiles
 
 
 class TestRecovery:

@@ -10,10 +10,10 @@ from repro.core.kernels import (
     kernel_diagonal,
     kernel_flops_per_entry,
     kernel_matrix,
-    kernel_matrix_tiles,
     kernel_row,
     kernel_scalar,
 )
+from repro.core.tile_pipeline import TilePipeline
 from repro.exceptions import InvalidParameterError
 from repro.types import KernelType
 
@@ -130,20 +130,21 @@ class TestDiagonal:
 
 
 class TestTiles:
+    """Row tiles of the tile pipeline reassemble the full kernel matrix."""
+
     @pytest.mark.parametrize("tile_rows", [1, 2, 3, 100])
     def test_tiles_reassemble_full_matrix(self, rng, tile_rows):
         a = rng.standard_normal((7, 3))
         b = rng.standard_normal((5, 3))
         full = kernel_matrix(a, b, "rbf", gamma=0.2)
-        out = np.empty_like(full)
-        for rows, tile in kernel_matrix_tiles(a, b, "rbf", gamma=0.2, tile_rows=tile_rows):
-            out[rows] = tile
+        pipe = TilePipeline(b, "rbf", gamma=0.2, num_threads=2, cache_mb=0)
+        out = pipe.cross_sweep(a, np.eye(5), tile_rows=tile_rows)
         assert np.allclose(out, full)
 
     def test_invalid_tile_rows(self, rng):
         a = rng.standard_normal((3, 2))
         with pytest.raises(InvalidParameterError):
-            list(kernel_matrix_tiles(a, a, "linear", tile_rows=0))
+            TilePipeline(a, "linear", tile_rows=0)
 
 
 class TestFlopModel:

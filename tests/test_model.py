@@ -39,9 +39,10 @@ class TestContainer:
 
     def test_tiled_prediction_matches_untiled(self, fitted, planes_small):
         X, _ = planes_small
-        coarse = fitted.model_.decision_function(X, tile_rows=7)
-        fine = fitted.model_.decision_function(X, tile_rows=10_000)
-        assert np.allclose(coarse, fine)
+        model = fitted.model_
+        coarse = model.engine().pipeline.cross_sweep(X, model.alpha, tile_rows=7)
+        fine = model.decision_function(X)
+        assert np.allclose(coarse + model.bias, fine)
 
 
 class TestRoundtrip:

@@ -13,7 +13,6 @@ import pytest
 from repro.core.lssvm import LSSVC
 from repro.core.precond import NystromPrecond
 from repro.core.qmatrix import ExplicitQMatrix, ImplicitQMatrix, build_reduced_system
-from repro.core.rowsharded import RowShardedQMatrix
 from repro.data.synthetic import make_planes
 from repro.exceptions import FileFormatError, InvalidParameterError
 from repro.io import (
@@ -220,13 +219,15 @@ class TestChunkedDataset:
 
 
 class TestRowShardedQMatrix:
+    """The row-shard partition of ``ImplicitQMatrix`` (Tyree et al.)."""
+
     @pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial"])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
     def test_matvec_matches_explicit(self, kernel, num_shards):
         X, y = make_planes(90, 6, rng=4)
         param = Parameter(kernel=kernel, cost=3.0, gamma=0.1)
         ref = ExplicitQMatrix(X, y, param)
-        sharded = RowShardedQMatrix(X, y, param, num_shards=num_shards)
+        sharded = ImplicitQMatrix(X, y, param, num_shards=num_shards)
         assert sharded.num_shards == num_shards
         v = np.random.default_rng(0).standard_normal(X.shape[0] - 1)
         np.testing.assert_allclose(sharded.matvec(v), ref.matvec(v), atol=1e-9)
@@ -239,7 +240,7 @@ class TestRowShardedQMatrix:
         X, y = make_planes(100, 5, rng=5)
         param = Parameter(kernel="rbf", cost=2.0, gamma=0.2)
         ref = ImplicitQMatrix(X, y, param)
-        sharded = RowShardedQMatrix(X, y, param, shard_size=41)
+        sharded = ImplicitQMatrix(X, y, param, shard_size=41)
         assert [len(s) for s in sharded.shards] == [41, 41, 17]
         v = np.ones(99)
         np.testing.assert_allclose(sharded.matvec(v), ref.matvec(v), atol=1e-9)
@@ -247,7 +248,7 @@ class TestRowShardedQMatrix:
     def test_num_shards_and_shard_size_conflict(self):
         X, y = make_planes(20, 3, rng=0)
         with pytest.raises(InvalidParameterError, match="mutually exclusive"):
-            RowShardedQMatrix(
+            ImplicitQMatrix(
                 X, y, Parameter(kernel="linear"), num_shards=2, shard_size=5
             )
 
@@ -255,7 +256,7 @@ class TestRowShardedQMatrix:
         X, y = make_planes(60, 4, rng=6)
         param = Parameter(kernel="rbf", cost=4.0, gamma=0.3)
         ref = ExplicitQMatrix(X, y, param)
-        sharded = RowShardedQMatrix(X, y, param, num_shards=3)
+        sharded = ImplicitQMatrix(X, y, param, num_shards=3)
         np.testing.assert_allclose(sharded.diagonal(), ref.diagonal(), atol=1e-9)
         for s in (0, 29, 58):
             np.testing.assert_allclose(
@@ -266,7 +267,7 @@ class TestRowShardedQMatrix:
         X, y = make_planes(80, 5, rng=8)
         param = Parameter(kernel="rbf", cost=5.0, gamma=0.1)
         ref = ExplicitQMatrix(X, y, param)
-        sharded = RowShardedQMatrix(X, y, param, num_shards=4)
+        sharded = ImplicitQMatrix(X, y, param, num_shards=4)
         pe = NystromPrecond.from_qmatrix(ref, rank=16, rng=np.random.default_rng(2))
         ps = NystromPrecond.from_qmatrix(sharded, rank=16, rng=np.random.default_rng(2))
         v = np.random.default_rng(3).standard_normal(79)
@@ -285,7 +286,7 @@ class TestRowShardedQMatrix:
         b = ref.rhs()
         x_ref = conjugate_gradient(ref, b, epsilon=1e-10).x
         with ChunkedDataset(path, block_rows=23) as ds:
-            sharded = RowShardedQMatrix(ds, ds.y, param, num_shards=num_shards)
+            sharded = ImplicitQMatrix(ds, ds.y, param, num_shards=num_shards)
             x = conjugate_gradient(sharded, sharded.rhs(), epsilon=1e-10).x
         np.testing.assert_allclose(x, x_ref, atol=1e-6)
 
@@ -293,7 +294,7 @@ class TestRowShardedQMatrix:
         X, y = make_planes(40, 4, rng=1)
         src = ArrayRowSource(X, block_rows=11)
         qmat, rhs = build_reduced_system(src, y, Parameter(kernel="linear"))
-        assert isinstance(qmat, RowShardedQMatrix)
+        assert isinstance(qmat, ImplicitQMatrix) and qmat.source is not None
         assert rhs.shape == (39,)
 
     def test_build_reduced_system_shard_rows_arg(self):
@@ -301,7 +302,7 @@ class TestRowShardedQMatrix:
         qmat, _ = build_reduced_system(
             X, y, Parameter(kernel="linear"), shard_rows=3
         )
-        assert isinstance(qmat, RowShardedQMatrix)
+        assert isinstance(qmat, ImplicitQMatrix) and qmat.source is not None
         assert qmat.num_shards == 3
 
 

@@ -1,5 +1,9 @@
 """Tests for the partitioning, thread pool and reduction utilities."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,12 @@ from repro.parallel.partition import (
     tile_grid,
 )
 from repro.parallel.reduction import sum_partials, tree_reduce
-from repro.parallel.thread_pool import ThreadPool, available_threads, parallel_for
+from repro.parallel.thread_pool import (
+    ThreadPool,
+    available_threads,
+    parallel_for,
+    shared_pool,
+)
 
 
 class TestBlockRange:
@@ -148,6 +157,56 @@ class TestThreadPool:
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
             ThreadPool(0)
+
+    def test_shared_pool_is_one_pool_per_thread_count(self):
+        assert shared_pool(2) is shared_pool(2)
+        assert shared_pool(3) is not shared_pool(2)
+        assert shared_pool(None) is shared_pool(available_threads())
+
+    def test_shared_pool_survives_concurrent_count_swaps(self):
+        """Holders keep working while other callers ask for other counts.
+
+        No caller may shut down a pool another pipeline still maps on: a
+        lost pool surfaces as ``cannot schedule new futures after
+        shutdown``, and every map must return its results in order.
+        """
+        errors = []
+        stop = threading.Event()
+        tasks = list(range(16))
+
+        def hold():
+            try:
+                while not stop.is_set():
+                    got = shared_pool(2).map_tasks(lambda t: t * t, tasks)
+                    if got != [t * t for t in tasks]:
+                        errors.append(f"results out of order: {got}")
+            except Exception as exc:  # recorded for the main thread
+                errors.append(repr(exc))
+
+        def swap():
+            try:
+                while not stop.is_set():
+                    shared_pool(3).map_tasks(lambda t: t, tasks)
+                    shared_pool(2)
+                    shared_pool(2).shutdown()
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=hold) for _ in range(3)]
+        workers.append(threading.Thread(target=swap))
+        try:
+            for w in workers:
+                w.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for w in workers:
+                w.join(timeout=30.0)
+            sys.setswitchinterval(old_interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
 
     def test_context_manager(self):
         with ThreadPool(2) as pool:

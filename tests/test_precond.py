@@ -17,7 +17,7 @@ from repro.core.precond import (
 from repro.core.qmatrix import build_reduced_system
 from repro.exceptions import InvalidParameterError
 from repro.parameter import Parameter
-from repro.profiling.stats import reset_solver_counters, solver_counters
+from repro.telemetry import reset_root_context, root_context
 
 
 def make_system(m=300, d=5, *, cost=1000.0, gamma=None, seed=0, implicit=True,
@@ -274,22 +274,22 @@ class TestMakePreconditioner:
 
     def test_counters_record_setup_and_rank(self):
         qmat, _ = make_system(m=80, implicit=False)
-        reset_solver_counters()
+        reset_root_context()
         make_preconditioner(qmat, "nystrom", rank=12, rng=0)
-        counters = solver_counters()
-        assert counters.precond_setups == 1
-        assert counters.precond_setup_seconds > 0
-        assert 0 < counters.precond_rank <= 12
-        reset_solver_counters()
+        counters = root_context().solver_counters_dict()
+        assert counters["precond_setups"] == 1
+        assert counters["precond_setup_seconds"] > 0
+        assert 0 < counters["precond_rank"] <= 12
+        reset_root_context()
 
     def test_cg_solve_counters(self):
         qmat, rhs = make_system(m=80, implicit=False)
-        reset_solver_counters()
+        reset_root_context()
         res = conjugate_gradient(qmat, rhs, epsilon=1e-6)
-        counters = solver_counters()
-        assert counters.cg_solves == 1
-        assert counters.cg_iterations == res.iterations
-        reset_solver_counters()
+        counters = root_context().solver_counters_dict()
+        assert counters["cg_solves"] == 1
+        assert counters["cg_iterations"] == res.iterations
+        reset_root_context()
 
 
 class TestEstimatorIntegration:

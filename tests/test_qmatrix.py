@@ -1,10 +1,13 @@
 """Tests for the reduced LS-SVM system (Eq. 13/14/16)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cg import conjugate_gradient, conjugate_gradient_block
 from repro.core.kernels import kernel_matrix
 from repro.core.qmatrix import (
     EXPLICIT_LIMIT,
@@ -15,8 +18,10 @@ from repro.core.qmatrix import (
     reduced_rhs,
 )
 from repro.data.synthetic import make_planes
-from repro.exceptions import DataError
+from repro.exceptions import DataError, InvalidParameterError
+from repro.io import ArrayRowSource, ChunkedDataset, write_binary_file
 from repro.parameter import Parameter
+from repro.sparse import CSRMatrix
 
 
 def _reference_qtilde(X, y, param):
@@ -205,3 +210,95 @@ class TestProperties:
         Q = ExplicitQMatrix(X, y, param).to_dense()
         v = np.random.default_rng(seed).standard_normal(n - 1)
         assert float(v @ Q @ v) > 0
+
+
+# -- one parity matrix for the matrix-free operator ---------------------------
+#
+# ImplicitQMatrix is the only host-side matrix-free operator: the input type
+# (dense / CSR / row source) and the row-shard partition pick how the kernel
+# product is formed. Every combination must agree with the dense Eq. 16
+# system, at 1e-9 for the matvec and 1e-6 for the CG solution.
+
+PARITY_M = 90
+PARITY_INPUTS = ["dense", "csr", "array_source", "chunked"]
+PARITY_PARTITIONS = {
+    "none": {},
+    "shards1": {"num_shards": 1},
+    "shards2": {"num_shards": 2},
+    "shards7": {"num_shards": 7},
+    "size41": {"shard_size": 41},
+}
+PARITY_CASES = [
+    pytest.param(source, partition, kernel, columns, id=f"{source}-{partition}-{kernel}-k{columns}")
+    for source, partition, kernel, columns in itertools.product(
+        PARITY_INPUTS, PARITY_PARTITIONS, ["linear", "polynomial", "rbf"], [1, 3]
+    )
+    # The CSR path exists for the linear kernel only (typed error below).
+    if source != "csr" or kernel == "linear"
+]
+
+
+@pytest.fixture(scope="module")
+def parity_data(tmp_path_factory):
+    X, y = make_planes(PARITY_M, 6, rng=4)
+    X[np.abs(X) < 0.3] = 0.0  # real zeros for the CSR input
+    path = tmp_path_factory.mktemp("parity") / "planes.plsb"
+    write_binary_file(path, X, y)
+    return X, y, path
+
+
+class TestOperatorParity:
+    @pytest.mark.parametrize("source,partition,kernel,columns", PARITY_CASES)
+    def test_matches_explicit(self, parity_data, source, partition, kernel, columns):
+        X, y, path = parity_data
+        param = Parameter(kernel=kernel, cost=3.0, gamma=0.1)
+        ref = ExplicitQMatrix(X, y, param)
+        kwargs = PARITY_PARTITIONS[partition]
+        rng = np.random.default_rng(columns)
+        V = rng.standard_normal((PARITY_M - 1, columns))
+        if columns == 1:
+            V = V[:, 0]
+        rhs = np.column_stack([ref.rhs()] * columns) if columns > 1 else ref.rhs()
+        if source == "chunked":
+            # A block height that does not divide m.
+            data = ChunkedDataset(path, block_rows=23)
+        else:
+            data = {
+                "dense": X,
+                "csr": CSRMatrix.from_dense(X),
+                "array_source": ArrayRowSource(X, block_rows=17),
+            }[source]
+        with_shards = bool(kwargs) or source in ("array_source", "chunked")
+        try:
+            # 16-row tiles: several row tiles, and several column blocks
+            # per shard, so block accumulation is exercised too.
+            op = ImplicitQMatrix(data, y, param, tile_rows=16, **kwargs)
+            assert (op.source is not None) == with_shards
+            if "num_shards" in kwargs:
+                assert op.num_shards == kwargs["num_shards"]
+            if "shard_size" in kwargs:
+                assert [len(s) for s in op.shards] == [41, 41, 7]
+            if columns == 1:
+                np.testing.assert_allclose(op.matvec(V), ref.matvec(V), atol=1e-9)
+                x = conjugate_gradient(op, rhs, epsilon=1e-10).x
+                x_ref = conjugate_gradient(ref, rhs, epsilon=1e-10).x
+            else:
+                np.testing.assert_allclose(
+                    op.matvec_multi(V), ref.matvec_multi(V), atol=1e-9
+                )
+                x = conjugate_gradient_block(op, rhs, epsilon=1e-10).X
+                x_ref = conjugate_gradient_block(ref, rhs, epsilon=1e-10).X
+        finally:
+            if source == "chunked":
+                data.close()
+        np.testing.assert_allclose(x, x_ref, atol=1e-6)
+
+    def test_csr_rejects_nonlinear_kernel(self, parity_data):
+        X, y, _ = parity_data
+        with pytest.raises(InvalidParameterError, match="linear kernel"):
+            ImplicitQMatrix(CSRMatrix.from_dense(X), y, Parameter(kernel="rbf", gamma=0.1))
+
+    def test_num_shards_with_shard_size_rejected(self, parity_data):
+        X, y, _ = parity_data
+        with pytest.raises(InvalidParameterError, match="mutually exclusive"):
+            ImplicitQMatrix(X, y, Parameter(kernel="linear"), num_shards=2, shard_size=5)

@@ -25,7 +25,7 @@ from repro.exceptions import (
     TransientDeviceError,
 )
 from repro.parameter import Parameter
-from repro.profiling import reset_solver_counters, solver_counters
+from repro.telemetry import reset_root_context, root_context
 from repro.simgpu.device import SimulatedDevice
 from repro.simgpu.faults import FaultEvent, FaultPlan, parse_fault_plan
 from repro.simgpu.spec import DeviceSpec
@@ -34,9 +34,9 @@ from repro.types import TargetPlatform
 
 @pytest.fixture(autouse=True)
 def _fresh_counters():
-    reset_solver_counters()
+    reset_root_context()
     yield
-    reset_solver_counters()
+    reset_root_context()
 
 
 def _device(device_id: int = 0, memory_gib: float = 1.0) -> SimulatedDevice:
@@ -264,12 +264,12 @@ class TestCheckpointResume:
                 op, b, epsilon=1e-12, checkpoint_interval=2, warn_on_no_convergence=False
             )
         ckpt = excinfo.value.checkpoint
-        before = solver_counters().cg_iterations
+        before = root_context().metrics.value("cg_iterations")
         resumed = conjugate_gradient(
             A, b, epsilon=1e-12, checkpoint=ckpt, warn_on_no_convergence=False
         )
         # The resumed solve charges only the post-checkpoint iterations.
-        assert solver_counters().cg_iterations - before == resumed.iterations - ckpt.iteration
+        assert root_context().metrics.value("cg_iterations") - before == resumed.iterations - ckpt.iteration
 
     def test_checkpoint_kind_mismatch_rejected(self):
         A, b = _spd_system(n=20, seed=4)
@@ -304,11 +304,11 @@ class TestResilientSolve:
             op, b, epsilon=1e-12, checkpoint_interval=3, warn_on_no_convergence=False
         )
         assert np.array_equal(res.x, ref.x)
-        counters = solver_counters()
-        assert counters.transient_retries == 1
-        assert counters.checkpoint_restores == 1
-        assert counters.backoff_seconds > 0
-        assert counters.devices_lost == 0
+        counters = root_context().solver_counters_dict()
+        assert counters["transient_retries"] == 1
+        assert counters["checkpoint_restores"] == 1
+        assert counters["backoff_seconds"] > 0
+        assert counters["devices_lost"] == 0
 
     def test_block_rhs_dispatches_to_block_solver(self):
         A, B = _spd_system(n=50, k=2, seed=7)
@@ -331,7 +331,7 @@ class TestResilientSolve:
             resilient_solve(
                 _AlwaysTransient(A), b, max_retries=2, warn_on_no_convergence=False
             )
-        assert solver_counters().transient_retries >= 2
+        assert root_context().metrics.value("transient_retries") >= 2
 
     def test_retry_budget_resets_on_progress(self):
         A, b = _spd_system(n=60, seed=9)
@@ -349,7 +349,7 @@ class TestResilientSolve:
         )
         ref = conjugate_gradient(A, b, epsilon=1e-12, warn_on_no_convergence=False)
         assert np.array_equal(res.x, ref.x)
-        assert solver_counters().transient_retries == 3
+        assert root_context().metrics.value("transient_retries") == 3
 
     def test_backoff_delays_accounted_and_slept(self):
         A, b = _spd_system(n=40, seed=10)
@@ -364,7 +364,7 @@ class TestResilientSolve:
         )
         assert len(slept) == 2
         assert all(delay >= 0.125 for delay in slept)
-        assert solver_counters().backoff_seconds == pytest.approx(sum(slept))
+        assert root_context().metrics.value("backoff_seconds") == pytest.approx(sum(slept))
 
     def test_device_loss_recovered_via_operator_hook(self):
         A, b = _spd_system(n=60, seed=11)
@@ -376,10 +376,10 @@ class TestResilientSolve:
         )
         assert np.array_equal(res.x, ref.x)
         assert op.recovered == [gpu]
-        counters = solver_counters()
-        assert counters.devices_lost == 1
-        assert counters.redistributions == 1
-        assert counters.checkpoint_restores == 1
+        counters = root_context().solver_counters_dict()
+        assert counters["devices_lost"] == 1
+        assert counters["redistributions"] == 1
+        assert counters["checkpoint_restores"] == 1
 
     def test_cascading_loss_during_recovery_is_recovered_in_turn(self):
         A, b = _spd_system(n=50, seed=12)
@@ -389,9 +389,9 @@ class TestResilientSolve:
         res = resilient_solve(op, b, warn_on_no_convergence=False)
         assert np.all(np.isfinite(res.x))
         assert len(op.recovered) == 2
-        counters = solver_counters()
-        assert counters.devices_lost == 2
-        assert counters.redistributions == 1
+        counters = root_context().solver_counters_dict()
+        assert counters["devices_lost"] == 2
+        assert counters["redistributions"] == 1
 
     def test_loss_without_handler_reraises(self):
         A, b = _spd_system(n=30, seed=13)
@@ -446,7 +446,7 @@ class TestDeviceFailover:
         the result matches the fault-free solve."""
         X, y = make_planes(256, 16, rng=0)
         baseline = LSSVC(kernel="linear", backend="cuda", n_devices=4).fit(X, y)
-        reset_solver_counters()
+        reset_root_context()
 
         plan = parse_fault_plan("lost@2:launch:9")
         clf = LSSVC(
@@ -455,10 +455,10 @@ class TestDeviceFailover:
         ).fit(X, y)
 
         assert plan.summary()["device_lost"] == 1
-        counters = solver_counters()
-        assert counters.devices_lost == 1
-        assert counters.redistributions == 1
-        assert counters.checkpoint_restores == 1
+        counters = root_context().solver_counters_dict()
+        assert counters["devices_lost"] == 1
+        assert counters["redistributions"] == 1
+        assert counters["checkpoint_restores"] == 1
         np.testing.assert_allclose(
             clf.model_.alpha, baseline.model_.alpha, rtol=1e-6, atol=1e-9
         )
@@ -467,14 +467,14 @@ class TestDeviceFailover:
     def test_training_survives_transient_faults(self):
         X, y = make_planes(128, 8, rng=1)
         baseline = LSSVC(kernel="linear", backend="cuda", n_devices=2).fit(X, y)
-        reset_solver_counters()
+        reset_root_context()
         plan = parse_fault_plan("transient@1:launch:6")
         clf = LSSVC(
             kernel="linear", backend="cuda", n_devices=2, fault_plan=plan
         ).fit(X, y)
-        counters = solver_counters()
-        assert counters.transient_retries == 1
-        assert counters.devices_lost == 0
+        counters = root_context().solver_counters_dict()
+        assert counters["transient_retries"] == 1
+        assert counters["devices_lost"] == 0
         np.testing.assert_allclose(clf.model_.alpha, baseline.model_.alpha)
 
     def test_fault_plan_requires_a_device_backend(self):

@@ -449,17 +449,29 @@ class TestHTTPServer:
 
 class TestRewiredPredictPaths:
     def test_model_decision_function_budget_chunks(self, planes_small):
+        from repro.core.model import LSSVMModel
+        from repro.exceptions import InvalidParameterError
+        from repro.parameter import Parameter
+
         X, y = planes_small
         model = LSSVC(kernel="rbf", C=10.0, gamma=0.25).fit(X, y).model_
-        full = model.decision_function(X, tile_rows=100_000)
-        # A tiny byte budget forces many row blocks; results must agree.
-        budgeted = model.decision_function(X, max_tile_mb=0.001)
-        assert np.allclose(budgeted, full)
-        assert model.tile_rows_for_budget(0.001) < X.shape[0]
-        from repro.exceptions import ModelFormatError
-
-        with pytest.raises(ModelFormatError):
-            model.decision_function(X, tile_rows=0)
+        full = model.decision_function(X)
+        # One-row query tiles: results must agree with the default tiling.
+        pipeline = model.engine().pipeline
+        chunked = pipeline.cross_sweep(X, model.alpha, tile_rows=1) + model.bias
+        assert np.allclose(chunked, full)
+        with pytest.raises(InvalidParameterError):
+            pipeline.cross_sweep(X, model.alpha, tile_rows=0)
+        # A large support set shrinks the query tile under its 64 MiB budget.
+        big = LSSVMModel(
+            support_vectors=np.zeros((100_000, 1)),
+            alpha=np.zeros(100_000),
+            bias=0.0,
+            param=Parameter(kernel="rbf", gamma=1.0),
+        )
+        rows = big.engine().pipeline.tile_rows
+        assert 1 <= rows < 1024
+        assert rows * big.num_support_vectors * 8 <= 64 * 2**20
 
     def test_model_engine_helper(self, planes_small):
         X, y = planes_small

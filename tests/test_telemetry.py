@@ -1,14 +1,11 @@
 """Tests for the span/metrics telemetry subsystem and ``TrainingReport``.
 
-Covers the context/span tree, metric bubbling to the process root, the
-deprecated ``solver_counters()`` shim, report building/validation, the
-merged chrome trace, and — the acceptance criterion — per-fit attribution
+Covers the context/span tree, metric bubbling to the process root,
+report building/validation, the merged chrome trace, and — the acceptance criterion — per-fit attribution
 under concurrent fits sharing a thread pool.
 """
 
-import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from repro.core.lssvm import LSSVC
 from repro.data.synthetic import make_planes
 from repro.exceptions import TelemetryError
 from repro.parallel.thread_pool import ThreadPool
-from repro.profiling.stats import SolverCounters, reset_solver_counters, solver_counters
 from repro.telemetry import (
     REPORT_SCHEMA_VERSION,
     SOLVER_COUNTER_NAMES,
@@ -77,6 +73,17 @@ class TestContext:
         assert root["tile_sweeps"] == 3
         assert root["precond_rank"] == 17
 
+    def test_root_aggregates_across_fits(self, planes_small):
+        X, y = planes_small
+        reset_root_context()
+        LSSVC(kernel="linear", C=1.0).fit(X, y)
+        LSSVC(kernel="rbf", C=1.0, gamma=0.1).fit(X, y)
+        root = root_context().solver_counters_dict()
+        assert root["cg_solves"] == 2
+        assert root["cg_iterations"] > 0
+        names = set(SOLVER_COUNTER_NAMES + SOLVER_GAUGE_NAMES)
+        assert set(root) == names | {"cache_hit_rate"}
+
     def test_nested_scopes_bubble_through_parent(self):
         reset_root_context()
         with fit_scope("outer.fit") as outer:
@@ -94,36 +101,6 @@ class TestContext:
         # root + 2 retained children == 3; the rest are dropped but counted.
         assert len(ctx.root_span.children) == 2
         assert ctx.dropped_spans == 8
-
-
-class TestCounterNameSync:
-    def test_names_match_solver_counters_dataclass(self):
-        """The telemetry layer hardcodes the counter list (it must not
-        import profiling); this keeps it in lockstep with the dataclass."""
-        field_names = {f.name for f in dataclasses.fields(SolverCounters)}
-        assert set(SOLVER_COUNTER_NAMES + SOLVER_GAUGE_NAMES) == field_names
-        assert len(SOLVER_COUNTER_NAMES + SOLVER_GAUGE_NAMES) == len(field_names)
-
-
-class TestDeprecatedShim:
-    def test_solver_counters_warns(self):
-        with pytest.warns(DeprecationWarning, match="model.report_"):
-            solver_counters()
-        with pytest.warns(DeprecationWarning):
-            reset_solver_counters()
-
-    def test_shim_aggregates_across_fits(self, planes_small):
-        X, y = planes_small
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reset_solver_counters()
-            counters = solver_counters()
-        LSSVC(kernel="linear", C=1.0).fit(X, y)
-        LSSVC(kernel="rbf", C=1.0, gamma=0.1).fit(X, y)
-        # The proxy reads the root registry live: aggregates over both fits.
-        assert counters.cg_solves == 2
-        assert counters.cg_iterations > 0
-        assert counters.as_dict()["cg_solves"] == 2
 
 
 class TestTrainingReport:
