@@ -44,9 +44,9 @@ refreshed model).
 The engine is estimator-agnostic: targets may be a vector (binary
 classification, regression) or an ``(m, c)`` block (one-vs-all
 multiclass, solved by warm-started *block* CG in one operator sweep per
-iteration). ``LSSVC.partial_fit`` / ``LSSVR.partial_fit`` /
-``OneVsAllLSSVC.partial_fit`` wrap it with label handling, telemetry,
-and model mutation.
+iteration). The LS-SVM core's append path in :mod:`repro.core.lssvm`,
+behind every estimator's ``partial_fit``, wraps it with the estimator's
+label encoding, telemetry and model mutation.
 """
 
 from __future__ import annotations
@@ -196,9 +196,10 @@ from .precond import make_preconditioner, refresh_nystrom
 from .qmatrix import (
     EXPLICIT_LIMIT,
     ExplicitQMatrix,
-    ImplicitQMatrix,
     QMatrixBase,
     _validate_training_data,
+    _warm_start_guess,
+    build_reduced_system,
     recover_bias_and_alpha,
     reduced_rhs,
 )
@@ -744,13 +745,13 @@ class IncrementalEngine:
 
     # -- the update ----------------------------------------------------------
 
-    def update(self, X_new: np.ndarray, y_new: np.ndarray) -> IncrementalResult:
-        """Append ``(X_new, y_new)`` and re-solve warm from the last alpha.
+    def _validate_chunk(self, X_new, y_new):
+        """Check a chunk before it touches any state.
 
-        The first call on an empty (non-seeded) engine is the initial
-        cold fit. ``y_new`` may be ``(k,)`` targets or an ``(k, c)``
-        one-vs-all block; the block form routes through warm-started
-        block CG.
+        A rejected chunk (NaN or infinite values, a wrong feature width or
+        target shape) must leave the accumulated rows, the factor and the
+        previous solution exactly as they were, so the next clean chunk
+        continues the stream as if the bad one had never arrived.
         """
         X_new = np.ascontiguousarray(np.asarray(X_new, dtype=self.param.dtype))
         if X_new.ndim != 2:
@@ -761,23 +762,49 @@ class IncrementalEngine:
                 f"chunk rows ({X_new.shape[0]}) and targets "
                 f"({y_new.shape[0]}) differ"
             )
-        old_rows = self.num_rows
-        if old_rows == 0:
-            self.param = self.param.with_gamma_for(X_new.shape[1])
-            self.X = X_new
-            self.y = y_new
+        if not np.all(np.isfinite(X_new)):
+            raise DataError("training data contains NaN or infinite values")
+        if not np.all(np.isfinite(y_new)):
+            raise DataError("chunk targets contain NaN or infinite values")
+        if self.binary_labels and not np.all(np.isin(y_new, (-1.0, 1.0))):
+            raise DataError(f"labels must be -1/+1, got {np.unique(y_new)[:8]}")
+        if not self.num_rows:
+            # The first chunk must be a trainable system on its own; later
+            # ones only need to fit the accumulated set.
+            _validate_training_data(
+                X_new,
+                y_new[:, 0] if y_new.ndim == 2 else y_new,
+                self.param.dtype,
+                binary_labels=self.binary_labels,
+            )
         else:
             if X_new.shape[1] != self.X.shape[1]:
                 raise DataError(
                     f"chunk has {X_new.shape[1]} features, accumulated data "
                     f"has {self.X.shape[1]}"
                 )
-            if y_new.ndim != self.y.ndim or (
-                y_new.ndim == 2 and y_new.shape[1] != self.y.shape[1]
-            ):
+            if y_new.shape[1:] != self.y.shape[1:]:
                 raise DataError("chunk targets do not match the accumulated shape")
             if X_new.shape[0] == 0:
                 raise DataError("chunk is empty; nothing to append")
+        return X_new, y_new
+
+
+    def update(self, X_new: np.ndarray, y_new: np.ndarray) -> IncrementalResult:
+        """Append ``(X_new, y_new)`` and re-solve warm from the last alpha.
+
+        The first call on an empty (non-seeded) engine is the initial
+        cold fit. ``y_new`` may be ``(k,)`` targets or an ``(k, c)``
+        one-vs-all block; the block form routes through warm-started
+        block CG.
+        """
+        X_new, y_new = self._validate_chunk(X_new, y_new)
+        old_rows = self.num_rows
+        if old_rows == 0:
+            self.param = self.param.with_gamma_for(X_new.shape[1])
+            self.X = X_new
+            self.y = y_new
+        else:
             self.X = np.ascontiguousarray(np.vstack([self.X, X_new]))
             self.y = np.concatenate([self.y, y_new], axis=0)
         m = self.num_rows
@@ -806,40 +833,34 @@ class IncrementalEngine:
                     qmat = self._bootstrap_dense(y_col)
         else:
             self._drop_dense()
-            qmat = ImplicitQMatrix(
+            qmat, _ = build_reduced_system(
                 self.X,
                 y_col,
                 self.param,
-                binary_labels=self.binary_labels,
+                implicit=True,
                 solver_threads=self.solver_threads,
                 tile_cache_mb=self.tile_cache_mb,
                 compute_dtype=self.compute_dtype,
+                binary_labels=self.binary_labels,
             )
         # self.X survives qmatrix validation unchanged (already contiguous
         # in the working dtype), so model support vectors alias it.
         self.X = qmat.X
         self.param = qmat.param
 
-        n = qmat.shape[0]
-        if block:
-            B = self.y[:-1, :] - self.y[-1:, :]
-        else:
-            b = reduced_rhs(self.y)
-        x0 = None
+        rhs = reduced_rhs(self.y)
         prev_alpha = self._alpha
         if isinstance(qmat, CholeskyKernelOperator):
             # The maintained factor solves the new system outright; CG
             # degenerates to a residual check (0 iterations up to
             # factorization roundoff) that certifies the direct solve.
-            x0 = qmat.solve_direct(B if block else b)
-        elif prev_alpha is not None and 0 < prev_alpha.shape[0] <= n:
+            x0 = qmat.solve_direct(rhs)
+        else:
             # The previous full alpha (eliminated point recovered) maps
             # verbatim onto the leading entries of the new unknown.
-            p = prev_alpha.shape[0]
-            shape = (n, prev_alpha.shape[1]) if block else (n,)
-            x0 = np.zeros(shape, dtype=qmat.dtype)
-            x0[:p] = prev_alpha
-            if p < n and isinstance(qmat, ExplicitQMatrix):
+            x0 = _warm_start_guess(prev_alpha, rhs.shape, qmat.dtype)
+            p = 0 if x0 is None else prev_alpha.shape[0]
+            if x0 is not None and p < rhs.shape[0] and isinstance(qmat, ExplicitQMatrix):
                 # Block Gauss–Seidel init for the genuinely new
                 # coordinates: solve them exactly given the old ones.
                 # The initial residual is concentrated here (the old
@@ -847,8 +868,7 @@ class IncrementalEngine:
                 # O(n k + k³) step removes most of what CG would
                 # otherwise spend its first dozens of iterations on.
                 D = qmat._dense
-                rhs_tail = B[p:, :] if block else b[p:]
-                r_tail = rhs_tail - D[p:, :p] @ x0[:p]
+                r_tail = rhs[p:] - D[p:, :p] @ x0[:p]
                 try:
                     x0[p:] = np.linalg.solve(D[p:, p:], r_tail)
                 except np.linalg.LinAlgError:  # pragma: no cover - SPD block
@@ -864,35 +884,18 @@ class IncrementalEngine:
                 qmat, old_rows, m - old_rows
             )
 
+        solve_kwargs = dict(
+            epsilon=self.param.epsilon,
+            max_iter=self.param.max_iter,
+            preconditioner=precond,
+        )
         if block:
-            result = conjugate_gradient_block(
-                qmat,
-                B,
-                epsilon=self.param.epsilon,
-                max_iter=self.param.max_iter,
-                X0=x0,
-                preconditioner=precond,
-            )
-            sums = result.X.sum(axis=0)
-            biases = (
-                self.y[-1, :].astype(np.float64)
-                + qmat.q_mm * sums
-                - qmat.q_bar @ result.X
-            )
-            alpha = np.vstack([result.X, -sums[None, :]]).astype(
-                qmat.dtype, copy=False
-            )
-            bias: Union[float, np.ndarray] = np.asarray(biases, dtype=np.float64)
+            result = conjugate_gradient_block(qmat, rhs, X0=x0, **solve_kwargs)
         else:
-            result = conjugate_gradient(
-                qmat,
-                b,
-                epsilon=self.param.epsilon,
-                max_iter=self.param.max_iter,
-                x0=x0,
-                preconditioner=precond,
-            )
-            alpha, bias = recover_bias_and_alpha(qmat, result.x)
+            result = conjugate_gradient(qmat, rhs, x0=x0, **solve_kwargs)
+        alpha, bias = recover_bias_and_alpha(
+            qmat, result.X if block else result.x, self.y[-1]
+        )
 
         self._alpha = alpha
         self.updates += 1

@@ -1,4 +1,4 @@
-"""High-level LS-SVM classifier (the Python face of ``plssvm::csvm``).
+"""The LS-SVM core and the high-level classifier (``plssvm::csvm``).
 
 :class:`LSSVC` is a scikit-learn-style binary classifier:
 
@@ -12,6 +12,17 @@ layout — the ``transform`` component), (3) the reduced system is solved by
 CG (``cg``), and (4) the model can be written via ``save()`` (``write``).
 All steps are timed through :class:`repro.profiling.ComponentTimer`.
 
+Every estimator trains through the one core in this module. The reduced
+system of Eq. 13/14 is the same for binary labels, regression targets and
+the one-vs-rest columns of a multiclass fit; only the targets differ, an
+m-vector or an m x k block. :func:`_solve_lssvm` builds the operator,
+dispatches the solver (CG, block CG for k > 1 — Tyree et al.'s batching of
+right-hand sides — Nyström, RFF or the checkpointed resilient solve),
+warm-starts from a previous reduced-system solution and recovers the bias
+by Eq. 15; :func:`_append_lssvm` appends a chunk through the
+:class:`repro.core.incremental.IncrementalEngine`. Estimators keep only
+label encoding and their model objects.
+
 The ``backend`` argument selects who executes the implicit matrix-vector
 products: ``None`` keeps the plain NumPy reference path; a name or
 :class:`repro.types.BackendType` routes through the backend framework
@@ -20,7 +31,8 @@ products: ``None`` keeps the plain NumPy reference path; a name or
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+import dataclasses
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,21 +43,461 @@ from ..profiling import ComponentTimer
 from ..sparse.csr import CSRMatrix
 from ..telemetry import TrainingReport, build_report, fit_scope
 from ..types import BackendType, KernelType, TargetPlatform
-from .cg import CGResult, conjugate_gradient
+from .cg import CGResult, conjugate_gradient, conjugate_gradient_block
 from .estimator import ParamsMixin, apply_config, warn_deprecated_flat_kwargs
 from .incremental import IncrementalEngine
 from .model import FeatureMapModel, LSSVMModel
 from .precond import make_preconditioner
-from .qmatrix import QMatrixBase, build_reduced_system, recover_bias_and_alpha
+from .qmatrix import (
+    EXPLICIT_LIMIT,
+    build_reduced_system,
+    recover_bias_and_alpha,
+    reduced_rhs,
+    _warm_start_guess,
+)
 from .resilience import resilient_solve
 from .solvers import (
     SolverInfo,
-    fit_rff_primal,
+    fit_rff_primal_multi,
     resolve_solver,
     solve_nystrom,
+    solve_nystrom_block,
 )
 
 __all__ = ["LSSVC", "encode_labels", "decode_labels"]
+
+
+# -- the LS-SVM core ----------------------------------------------------------
+
+
+@dataclasses.dataclass
+class _Solution:
+    """What an estimator keeps of one solve: points, parameters, alpha, b.
+
+    ``alpha``/``bias`` are ``(m,)``/float for a target vector and
+    ``(m, k)``/``(k,)`` for a block. An rff fit keeps no points: ``alpha``
+    holds the primal weights of ``fmap``. ``targets`` are kept only when a
+    later ``partial_fit`` can append to the fit (a dense reduced-system
+    fit). The operator is never kept: its tile cache dies with the fit.
+    """
+
+    points: object
+    param: Parameter
+    alpha: np.ndarray
+    bias: Union[float, np.ndarray]
+    result: object
+    report: TrainingReport
+    timings: ComponentTimer
+    targets: Optional[np.ndarray] = None
+    fmap: object = None
+    seed: Optional[int] = None
+
+
+def _configs(est) -> Tuple[SolverConfig, ResourceConfig]:
+    """An estimator's solver and resource knobs as the two config groups.
+
+    Knobs the estimator does not expose keep their defaults.
+    """
+
+    def group(cls):
+        return cls(**{name: getattr(est, name) for name in cls.fields if hasattr(est, name)})
+
+    return group(SolverConfig), group(ResourceConfig)
+
+
+def _check_options(est) -> None:
+    """Validate and normalize an estimator's solver options.
+
+    Every estimator's ``_sync_params`` runs this one check, so each
+    exclusion holds alike at construction and in ``set_params``; knobs an
+    estimator does not expose read as their defaults.
+    """
+    config, res = _configs(est)
+    backend = getattr(est, "backend", None)
+    sparse = bool(getattr(est, "sparse", False))
+    solver = resolve_solver(config.solver)
+    if config.polish_iters < 0:
+        raise InvalidParameterError("polish_iters must be >= 0")
+    if config.solver_rank is not None and config.solver_rank < 1:
+        raise InvalidParameterError("solver_rank must be positive")
+    if res.checkpoint_interval is not None and res.checkpoint_interval < 1:
+        raise InvalidParameterError("checkpoint_interval must be positive")
+    if res.max_retries < 0:
+        raise InvalidParameterError("max_retries must be >= 0")
+    if res.fault_plan is not None and (
+        backend is None
+        or (
+            isinstance(backend, (str, BackendType))
+            and BackendType.from_name(backend) is BackendType.OPENMP
+        )
+    ):
+        raise InvalidParameterError(
+            "fault_plan requires a device backend (cuda/opencl/sycl); "
+            "the host paths have no devices to fault"
+        )
+    if sparse and backend is not None:
+        raise DataError("sparse CG runs on the NumPy path; use backend=None")
+    if solver != "cg":
+        if res.fault_plan is not None or res.checkpoint_interval is not None:
+            raise InvalidParameterError(
+                "fault_plan/checkpoint_interval require the resilient "
+                f"checkpointed CG; solver={solver!r} is a direct randomized solve"
+            )
+        if config.precondition is not None:
+            raise InvalidParameterError(
+                f"precondition applies to solver='cg' only; solver="
+                f"{solver!r} has no outer CG (use polish_iters for "
+                "refinement)"
+            )
+        if sparse:
+            raise InvalidParameterError(
+                "sparse CG and the randomized solvers are exclusive paths"
+            )
+    if config.polish_iters and solver != "nystrom":
+        raise InvalidParameterError(
+            "polish_iters refines the nystrom direct solve; it does not "
+            f"apply to solver={solver!r}"
+        )
+    if solver == "rff":
+        if est.param.kernel is not KernelType.RBF:
+            raise InvalidParameterError(
+                f"solver='rff' maps the RBF kernel only (got kernel={est.param.kernel})"
+            )
+        if backend is not None:
+            raise InvalidParameterError(
+                "solver='rff' is a host-side primal solve; use backend=None"
+            )
+    if res.memory_budget_mb is not None and res.memory_budget_mb <= 0:
+        raise InvalidParameterError(
+            f"memory_budget_mb must be positive, got {res.memory_budget_mb}"
+        )
+    if res.shard_rows is not None:
+        if res.shard_rows < 1:
+            raise InvalidParameterError(
+                f"shard_rows must be positive, got {res.shard_rows}"
+            )
+        if backend is not None:
+            raise InvalidParameterError(
+                "shard_rows runs the row-sharded NumPy operator; use backend=None"
+            )
+        if sparse:
+            raise InvalidParameterError("shard_rows and the sparse CG path are exclusive")
+        est.shard_rows = int(res.shard_rows)
+    est.solver = solver
+    est.polish_iters = int(config.polish_iters)
+    if hasattr(est, "max_retries"):
+        est.max_retries = int(res.max_retries)
+
+
+def _solve_lssvm(
+    X,
+    T: np.ndarray,
+    param: Parameter,
+    config: SolverConfig,
+    resources: ResourceConfig,
+    *,
+    estimator: str,
+    implicit: Optional[bool] = None,
+    backend=None,
+    sparse: bool = False,
+    ridge: Optional[np.ndarray] = None,
+    binary_labels: bool = True,
+    warm_from: Optional[_Solution] = None,
+) -> _Solution:
+    """Solve the LS-SVM system for the targets ``T``: every estimator's fit.
+
+    ``T`` is an m-vector or an ``(m, k)`` block sharing one operator; a
+    single column runs vector CG, a block runs block CG (one kernel sweep
+    per iteration for all columns). ``X`` may be a row source
+    (:class:`repro.io.ChunkedDataset`), streamed and never densified.
+    ``backend`` is a resolved backend instance (``None``: the NumPy path);
+    ``ridge``/``binary_labels`` pass through to the operator (weighted
+    fits, regression targets). ``warm_from`` starts exact CG from a
+    previous reduced-system solution.
+    """
+    from ..io.chunked import is_row_source  # deferred: io imports core
+
+    timings = ComponentTimer()
+    T = np.asarray(T, dtype=param.dtype)
+    block = T.ndim == 2
+    warm_iterations = 0
+    fmap = None
+    # Reset the kernel RSS high-water mark before the wall clock starts:
+    # the /proc write is a syscall (and GIL-switch point) that should not
+    # count against the fit's phase accounting.
+    reset_peak_rss()
+    with fit_scope(
+        f"{estimator}.fit", estimator=estimator, **({"classes": T.shape[1]} if block else {})
+    ) as ctx:
+        with memory_budget(resources.memory_budget_mb), timings.section("total"):
+            if is_row_source(X):
+                if backend is not None or sparse:
+                    raise InvalidParameterError(
+                        "chunked/row-source training data requires the "
+                        "NumPy dense-free path (backend=None, sparse=False)"
+                    )
+            else:
+                X = np.asarray(X, dtype=param.dtype)
+                if X.ndim != 2:
+                    raise DataError(f"training data must be 2-D, got ndim={X.ndim}")
+            if config.solver == "rff":
+                # No reduced system: feature sampling, one blocked Gram
+                # accumulation and an (r+1)-dimensional SPD solve.
+                with timings.section("cg"):
+                    fmap, W, biases, result, info = fit_rff_primal_multi(
+                        X, T, param, rank=config.solver_rank, rng=config.solver_seed
+                    )
+                    # The peak is monotone within the fit, so one sample at
+                    # the end of the dominant phase captures it.
+                    sample_peak_rss(ctx)
+                alpha, bias = (W, biases) if block else (W[:, 0], float(biases[0]))
+                result = result if block else result.column(0)
+                points, fit_param = None, param.with_gamma_for(X.shape[1])
+            else:
+                # Backends transform the data into their device layout here
+                # (the paper's "transform" component); the NumPy path's
+                # operator setup is accounted as "assembly".
+                setup = "assembly" if backend is None else "transform"
+                with timings.section(setup), ctx.span(setup):
+                    if backend is None:
+                        qmat, _ = build_reduced_system(
+                            CSRMatrix.from_dense(X) if sparse else X,
+                            T[:, 0] if block else T,
+                            param,
+                            implicit=implicit,
+                            solver_threads=resources.solver_threads,
+                            tile_cache_mb=resources.tile_cache_mb,
+                            compute_dtype=resources.compute_dtype,
+                            shard_rows=resources.shard_rows,
+                            ridge=ridge,
+                            binary_labels=binary_labels,
+                        )
+                    else:
+                        qmat = backend.create_qmatrix(X, T, param)
+                    sample_peak_rss(ctx)
+                rhs = reduced_rhs(T)
+                # Solver setup (preconditioner / randomized factorization)
+                # trades setup time for iterations, so it is accounted
+                # inside the paper's cg section.
+                with timings.section("cg"):
+                    if config.solver == "nystrom":
+                        result, info = (solve_nystrom_block if block else solve_nystrom)(
+                            qmat,
+                            rhs,
+                            rank=config.solver_rank,
+                            rng=config.solver_seed,
+                            polish_iters=config.polish_iters,
+                            epsilon=param.epsilon,
+                        )
+                    else:
+                        info = SolverInfo()
+                        precond = make_preconditioner(
+                            qmat,
+                            config.precondition,
+                            rank=config.precond_rank,
+                            rng=config.precond_rng,
+                        )
+                        solve_kwargs = dict(
+                            epsilon=param.epsilon,
+                            max_iter=param.max_iter,
+                            preconditioner=precond,
+                        )
+                        if (
+                            resources.fault_plan is not None
+                            or resources.checkpoint_interval is not None
+                        ):
+                            # Checkpointed CG plus transient retry and
+                            # device-loss redistribution.
+                            if resources.checkpoint_interval is not None:
+                                solve_kwargs["checkpoint_interval"] = (
+                                    resources.checkpoint_interval
+                                )
+                            result = resilient_solve(
+                                qmat, rhs, max_retries=resources.max_retries, **solve_kwargs
+                            )
+                        else:
+                            # Warm start only from a previous reduced-system
+                            # solution (an rff fit's primal weights are not).
+                            x0 = None
+                            if warm_from is not None and warm_from.fmap is None:
+                                x0 = _warm_start_guess(warm_from.alpha, rhs.shape, qmat.dtype)
+                            if block:
+                                result = conjugate_gradient_block(qmat, rhs, X0=x0, **solve_kwargs)
+                            else:
+                                result = conjugate_gradient(qmat, rhs, x0=x0, **solve_kwargs)
+                            if x0 is not None:
+                                warm_iterations = result.iterations
+                    sample_peak_rss(ctx)
+                alpha, bias = recover_bias_and_alpha(
+                    qmat, result.X if block else result.x, T[-1]
+                )
+                points, fit_param = qmat.X, qmat.param
+                if backend is not None:
+                    backend.finalize(qmat, timings)
+    if backend is not None:
+        label = backend.describe()
+    else:
+        label = "numpy (sparse)" if sparse else "numpy"
+    report = build_report(
+        ctx,
+        estimator=estimator,
+        backend=label,
+        num_samples=X.shape[0],
+        num_features=X.shape[1],
+        timings=timings,
+        result=result,
+        solver_strategy=info.strategy,
+        solver_rank=info.rank,
+        solver_setup_seconds=info.setup_seconds,
+        warm_start_iterations=warm_iterations,
+    )
+    appendable = fmap is None and isinstance(X, np.ndarray)
+    return _Solution(
+        points,
+        fit_param,
+        alpha,
+        bias,
+        result,
+        report,
+        timings,
+        targets=T if appendable else None,
+        fmap=fmap,
+        seed=config.solver_seed if isinstance(config.solver_seed, int) else None,
+    )
+
+
+def _append_lssvm(
+    engine: Optional[IncrementalEngine],
+    previous: Optional[_Solution],
+    X,
+    y,
+    encode: Callable,
+    param: Parameter,
+    config: SolverConfig,
+    resources: ResourceConfig,
+    *,
+    estimator: str,
+    implicit: Optional[bool] = None,
+    backend=None,
+    sparse: bool = False,
+    binary_labels: bool = True,
+):
+    """Append a chunk and re-solve warm: every estimator's ``partial_fit``.
+
+    ``encode(y)`` returns ``(T, labels)``: the chunk's targets and the
+    estimator's label state after it. Without an ``engine`` a fresh one
+    is built and seeded from ``previous`` (the last fit), so only the
+    new kernel rows are evaluated. Returns ``None`` for a zero-row chunk
+    (a bit-exact no-op), else ``(engine, solution, labels)``; callers
+    store them only then, and the engine validates a chunk before it
+    changes any state, so a rejected chunk leaves the estimator exactly
+    as it was.
+    """
+    if backend is not None:
+        raise InvalidParameterError("partial_fit runs on the NumPy path; use backend=None")
+    if sparse or resources.shard_rows is not None:
+        raise InvalidParameterError(
+            "partial_fit supports neither sparse CG nor row sharding"
+        )
+    if config.solver != "cg":
+        raise InvalidParameterError(
+            "partial_fit requires solver='cg' (the randomized direct "
+            "solves have no warm-startable iteration)"
+        )
+    if resources.fault_plan is not None or resources.checkpoint_interval is not None:
+        raise InvalidParameterError("partial_fit does not drive the resilient solver")
+    X = np.asarray(X, dtype=param.dtype)
+    if X.ndim != 2:
+        raise DataError("training data must be 2-D")
+    if X.shape[0] == 0:
+        if engine is None and previous is None:
+            raise DataError("the first partial_fit chunk is empty")
+        return None
+    T, labels = encode(y)
+    if engine is None:
+        engine = IncrementalEngine(
+            param,
+            precondition=config.precondition,
+            precond_rank=config.precond_rank,
+            precond_rng=config.precond_rng,
+            binary_labels=binary_labels,
+            solver_threads=resources.solver_threads,
+            tile_cache_mb=resources.tile_cache_mb,
+            compute_dtype=resources.compute_dtype,
+            explicit_limit={True: 0, False: 2**62}.get(implicit, EXPLICIT_LIMIT),
+        )
+        if previous is not None:
+            if previous.targets is None:
+                raise InvalidParameterError(
+                    "cannot continue incrementally from the previous fit "
+                    "(compact/row-source models keep no appendable support "
+                    "set); start from a fresh estimator"
+                )
+            engine.seed(previous.points, previous.targets, previous.alpha)
+    timings = ComponentTimer()
+    reset_peak_rss()
+    with fit_scope(
+        f"{estimator}.partial_fit",
+        estimator=estimator,
+        **({"classes": T.shape[1]} if T.ndim == 2 else {}),
+    ) as ctx:
+        with memory_budget(resources.memory_budget_mb), timings.section("total"):
+            with timings.section("refit"), ctx.span(
+                "refit", new_rows=X.shape[0], total_rows=engine.num_rows + X.shape[0]
+            ):
+                res = engine.update(X, T)
+            sample_peak_rss(ctx)
+    report = build_report(
+        ctx,
+        estimator=estimator,
+        backend="numpy",
+        num_samples=engine.num_rows,
+        num_features=engine.X.shape[1],
+        timings=timings,
+        result=res.result,
+        warm_start_iterations=res.warm_start_iterations,
+    )
+    solution = _Solution(
+        engine.X, engine.param, res.alpha, res.bias, res.result, report, timings,
+        targets=engine.y,
+    )
+    return engine, solution, labels
+
+
+def _model_from(sol: _Solution, labels, column: Optional[int] = None, *, into=None):
+    """The fitted model of ``sol`` (of its ``column``-th target for a block).
+
+    ``into``, a fitted :class:`LSSVMModel`, is updated in place and its
+    caches are invalidated, so serving handles holding it
+    (``model.engine()``, a :class:`repro.serve.ModelRegistry` entry)
+    observe the new coefficients without a reload.
+    """
+    alpha = sol.alpha if column is None else np.ascontiguousarray(sol.alpha[:, column])
+    bias = float(sol.bias if column is None else sol.bias[column])
+    if sol.fmap is not None:
+        return FeatureMapModel(
+            omega=sol.fmap.omega,
+            offsets=sol.fmap.offsets,
+            weights=alpha,
+            bias=bias,
+            param=sol.param,
+            labels=labels,
+            seed=sol.seed,
+        )
+    if isinstance(into, LSSVMModel):
+        into.support_vectors = sol.points
+        into.alpha = alpha
+        into.bias = bias
+        into.param = sol.param
+        into.labels = labels
+        into.invalidate_caches()
+        return into
+    return LSSVMModel(
+        support_vectors=sol.points, alpha=alpha, bias=bias, param=sol.param, labels=labels
+    )
+
+
+# -- binary classification ----------------------------------------------------
 
 
 def encode_labels(y: np.ndarray) -> Tuple[np.ndarray, Tuple[float, float]]:
@@ -297,7 +749,8 @@ class LSSVC(ParamsMixin):
         self.result_: Optional[CGResult] = None
         self.report_: Optional[TrainingReport] = None
         self.timings_: ComponentTimer = ComponentTimer()
-        self._train_targets: Optional[np.ndarray] = None
+        self._solution: Optional[_Solution] = None
+        self._labels: Optional[Tuple[float, float]] = None
 
     def _sync_params(self) -> None:
         """Validate parameters and rebuild derived state.
@@ -337,79 +790,7 @@ class LSSVC(ParamsMixin):
         if self.jacobi and self.precondition is None:
             self.precondition = "jacobi"
         self.sparse = bool(self.sparse)
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise InvalidParameterError("checkpoint_interval must be positive")
-        if self.max_retries < 0:
-            raise InvalidParameterError("max_retries must be >= 0")
-        self.max_retries = int(self.max_retries)
-        if self.fault_plan is not None:
-            is_host = self.backend is None or (
-                isinstance(self.backend, (str, BackendType))
-                and BackendType.from_name(self.backend) is BackendType.OPENMP
-            )
-            if is_host:
-                raise InvalidParameterError(
-                    "fault_plan requires a device backend (cuda/opencl/sycl); "
-                    "the host paths have no devices to fault"
-                )
-        if self.sparse and self.backend is not None:
-            raise DataError("sparse CG runs on the NumPy path; use backend=None")
-        self.solver = resolve_solver(self.solver)
-        if self.polish_iters < 0:
-            raise InvalidParameterError("polish_iters must be >= 0")
-        self.polish_iters = int(self.polish_iters)
-        if self.solver_rank is not None and self.solver_rank < 1:
-            raise InvalidParameterError("solver_rank must be positive")
-        if self.solver != "cg":
-            if self.fault_plan is not None or self.checkpoint_interval is not None:
-                raise InvalidParameterError(
-                    "fault_plan/checkpoint_interval require the resilient CG "
-                    f"driver; solver={self.solver!r} is a direct randomized solve"
-                )
-            if self.precondition is not None or self.jacobi:
-                raise InvalidParameterError(
-                    f"precondition applies to solver='cg' only; solver="
-                    f"{self.solver!r} has no outer CG (use polish_iters for "
-                    "refinement)"
-                )
-            if self.sparse:
-                raise InvalidParameterError(
-                    "sparse CG and the randomized solvers are exclusive paths"
-                )
-        if self.polish_iters and self.solver != "nystrom":
-            raise InvalidParameterError(
-                "polish_iters refines the nystrom direct solve; it does not "
-                f"apply to solver={self.solver!r}"
-            )
-        if self.solver == "rff":
-            if self.param.kernel is not KernelType.RBF:
-                raise InvalidParameterError(
-                    "solver='rff' maps the RBF kernel only "
-                    f"(got kernel={self.param.kernel})"
-                )
-            if self.backend is not None:
-                raise InvalidParameterError(
-                    "solver='rff' is a host-side primal solve; use backend=None"
-                )
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
-            raise InvalidParameterError(
-                f"memory_budget_mb must be positive, got {self.memory_budget_mb}"
-            )
-        if self.shard_rows is not None:
-            if self.shard_rows < 1:
-                raise InvalidParameterError(
-                    f"shard_rows must be positive, got {self.shard_rows}"
-                )
-            self.shard_rows = int(self.shard_rows)
-            if self.backend is not None:
-                raise InvalidParameterError(
-                    "shard_rows runs the row-sharded NumPy operator; "
-                    "use backend=None"
-                )
-            if self.sparse:
-                raise InvalidParameterError(
-                    "shard_rows and the sparse CG path are exclusive"
-                )
+        _check_options(self)
         self._backend_instance = None
         # Any hyper-parameter change invalidates an in-flight incremental
         # continuation: the next partial_fit starts a fresh engine.
@@ -444,31 +825,7 @@ class LSSVC(ParamsMixin):
             self._backend_instance = self.backend
         return self._backend_instance
 
-    def _build_operator(self, X: np.ndarray, y: np.ndarray) -> Tuple[QMatrixBase, np.ndarray]:
-        backend = self._resolve_backend()
-        if backend is None:
-            if self.sparse:
-                X = CSRMatrix.from_dense(np.asarray(X, dtype=self.param.dtype))
-            return build_reduced_system(
-                X,
-                y,
-                self.param,
-                implicit=self.implicit,
-                solver_threads=self.solver_threads,
-                tile_cache_mb=self.tile_cache_mb,
-                compute_dtype=self.compute_dtype,
-                shard_rows=self.shard_rows,
-            )
-        qmat = backend.create_qmatrix(X, y, self.param)
-        return qmat, qmat.rhs()
-
     # -- estimator API --------------------------------------------------------
-
-    def _backend_description(self) -> str:
-        if self.backend is None:
-            return "numpy (sparse)" if self.sparse else "numpy"
-        backend = self._resolve_backend()
-        return backend.describe()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LSSVC":
         """Train on ``(X, y)``; ``y`` may use any two distinct labels.
@@ -479,181 +836,31 @@ class LSSVC(ParamsMixin):
         under :func:`repro.membudget.memory_budget` when
         ``memory_budget_mb`` is set.
         """
-        from ..io.chunked import is_row_source  # deferred: io imports core
-
-        self.timings_ = ComponentTimer()
-        self._warm_iterations = 0
-        # Reset the kernel RSS high-water mark before the wall clock
-        # starts: the /proc write is a syscall (and GIL-switch point)
-        # that should not count against the fit's phase accounting.
-        reset_peak_rss()
-        with fit_scope("LSSVC.fit", estimator="LSSVC") as ctx:
-            with memory_budget(self.memory_budget_mb), self.timings_.section("total"):
-                if is_row_source(X):
-                    if self.backend is not None or self.sparse:
-                        raise InvalidParameterError(
-                            "chunked/row-source training data requires the "
-                            "NumPy dense-free path (backend=None, sparse=False)"
-                        )
-                else:
-                    X = np.asarray(X, dtype=self.param.dtype)
-                y_enc, labels = encode_labels(y)
-                if self.solver == "rff":
-                    result, info = self._fit_rff(ctx, X, y_enc, labels)
-                else:
-                    result, info = self._fit_reduced(ctx, X, y_enc, labels)
-        # A fresh batch fit restarts any incremental continuation; keep
-        # the encoded targets so a later partial_fit can seed its engine
-        # from this very model (see partial_fit).
-        self._engine = None
-        self._train_targets = y_enc if isinstance(X, np.ndarray) else None
-        self.report_ = build_report(
-            ctx,
+        y_enc, labels = encode_labels(y)
+        solution = _solve_lssvm(
+            X,
+            y_enc,
+            self.param,
+            *_configs(self),
             estimator="LSSVC",
-            backend=self._backend_description(),
-            num_samples=X.shape[0],
-            num_features=X.shape[1] if X.ndim > 1 else 1,
-            timings=self.timings_,
-            result=result,
-            solver_strategy=info.strategy,
-            solver_rank=info.rank,
-            solver_setup_seconds=info.setup_seconds,
-            warm_start_iterations=self._warm_iterations,
+            implicit=self.implicit,
+            backend=self._resolve_backend(),
+            sparse=self.sparse,
+            warm_from=self._solution if self.warm_start else None,
         )
+        # A fresh batch fit restarts any incremental continuation; a later
+        # partial_fit seeds its engine from this very solution.
+        self._engine = None
+        self._adopt(solution, labels)
         return self
 
-    def _fit_rff(self, ctx, X, y_enc, labels) -> Tuple[CGResult, SolverInfo]:
-        """The random-feature primal path: no reduced system, compact model.
-
-        Skips operator assembly entirely — the O(m²)-capable machinery is
-        never touched; the whole fit is feature sampling, one blocked Gram
-        accumulation, and an (r+1)-dimensional SPD solve.
-        """
-        with self.timings_.section("cg"):
-            fmap, weights, bias, result, info = fit_rff_primal(
-                X,
-                y_enc,
-                self.param,
-                rank=self.solver_rank,
-                rng=self.solver_seed,
-            )
-            # ru_maxrss is monotone within the fit, so the one sample at
-            # the end of the dominant phase captures the fit's peak; it
-            # sits inside the section so the syscall stays accounted.
-            sample_peak_rss(ctx)
-        self.result_ = result
-        self.model_ = FeatureMapModel(
-            omega=fmap.omega,
-            offsets=fmap.offsets,
-            weights=weights,
-            bias=bias,
-            param=self.param.with_gamma_for(X.shape[1]),
-            labels=labels,
-            seed=self.solver_seed if isinstance(self.solver_seed, int) else None,
-        )
-        return result, info
-
-    def _fit_reduced(self, ctx, X, y_enc, labels) -> Tuple[CGResult, SolverInfo]:
-        """The reduced-system paths: exact CG and the direct Nyström solve."""
-        # Backends transform the data into their device layout here
-        # (the paper's "transform" component); the plain NumPy path's
-        # operator setup is accounted separately as "assembly".
-        setup_section = "transform" if self.backend is not None else "assembly"
-        with self.timings_.section(setup_section), ctx.span(setup_section):
-            qmat, rhs = self._build_operator(X, y_enc)
-            sample_peak_rss(ctx)
-        # Solver setup (preconditioner / randomized factorization) is
-        # solver work — it trades setup time for iterations — so it is
-        # accounted inside the paper's cg section.
-        with self.timings_.section("cg"):
-            if self.solver == "nystrom":
-                result, info = solve_nystrom(
-                    qmat,
-                    rhs,
-                    rank=self.solver_rank,
-                    rng=self.solver_seed,
-                    polish_iters=self.polish_iters,
-                    epsilon=self.param.epsilon,
-                )
-            else:
-                info = SolverInfo()
-                precond = make_preconditioner(
-                    qmat,
-                    self.precondition,
-                    rank=self.precond_rank,
-                    rng=self.precond_rng,
-                )
-                if (
-                    self.fault_plan is not None
-                    or self.checkpoint_interval is not None
-                ):
-                    # Fault-tolerant driving: checkpointed CG plus
-                    # transient retry and device-loss redistribution.
-                    solve_kwargs = {}
-                    if self.checkpoint_interval is not None:
-                        solve_kwargs["checkpoint_interval"] = (
-                            self.checkpoint_interval
-                        )
-                    result = resilient_solve(
-                        qmat,
-                        rhs,
-                        epsilon=self.param.epsilon,
-                        max_iter=self.param.max_iter,
-                        preconditioner=precond,
-                        max_retries=self.max_retries,
-                        **solve_kwargs,
-                    )
-                else:
-                    x0 = self._warm_x0(rhs.shape[0], qmat.dtype)
-                    result = conjugate_gradient(
-                        qmat,
-                        rhs,
-                        epsilon=self.param.epsilon,
-                        max_iter=self.param.max_iter,
-                        preconditioner=precond,
-                        x0=x0,
-                    )
-                    if x0 is not None:
-                        self._warm_iterations = result.iterations
-            sample_peak_rss(ctx)
-        alpha, bias = recover_bias_and_alpha(qmat, result.x)
-        self.result_ = result
-        self.model_ = LSSVMModel(
-            support_vectors=qmat.X,
-            alpha=alpha,
-            bias=bias,
-            param=qmat.param,
-            labels=labels,
-        )
-        backend = self._resolve_backend()
-        if backend is not None:
-            backend.finalize(qmat, self.timings_)
-        return result, info
-
-    def _warm_x0(self, n: int, dtype) -> Optional[np.ndarray]:
-        """Initial CG guess from the previous model (``warm_start=True``).
-
-        The previous full multiplier vector maps onto the leading entries
-        of the reduced unknown (the reduced system eliminates the *last*
-        point, so earlier rows keep their indices); new rows start at
-        zero. ``None`` when warm starting is off, no compatible previous
-        model exists, or the system shrank below the previous size.
-        """
-        if not self.warm_start or not isinstance(self.model_, LSSVMModel):
-            return None
-        prev = np.asarray(self.model_.alpha)
-        if prev.ndim != 1:
-            return None
-        if prev.shape[0] == n + 1:
-            # Same system size as before (a refit, no appended rows): the
-            # previous *reduced* solution is the full vector minus its
-            # recovered eliminated entry.
-            return np.array(prev[:n], dtype=dtype)
-        if not 0 < prev.shape[0] <= n:
-            return None
-        x0 = np.zeros(n, dtype=dtype)
-        x0[: prev.shape[0]] = prev
-        return x0
+    def _adopt(self, solution: _Solution, labels, *, into=None) -> None:
+        self._solution = solution
+        self._labels = labels
+        self.model_ = _model_from(solution, labels, into=into)
+        self.result_ = solution.result
+        self.report_ = solution.report
+        self.timings_ = solution.timings
 
     def partial_fit(self, X: np.ndarray, y: np.ndarray) -> "LSSVC":
         """Extend the training set by a chunk and refit incrementally.
@@ -669,7 +876,9 @@ class LSSVC(ParamsMixin):
         bootstrap on the first chunk).
 
         A chunk with **zero rows is a bit-exact no-op**: the model object
-        and every coefficient stay untouched.
+        and every coefficient stay untouched. A rejected chunk (NaN or
+        infinite values, a wrong feature width, an unknown label) leaves
+        the estimator as it was.
 
         The fitted model is updated *in place* and its caches are
         invalidated, so serving handles (``model_.engine()``, a
@@ -680,125 +889,39 @@ class LSSVC(ParamsMixin):
         ``solver="cg"``, no ``sparse`` / ``shard_rows`` / ``fault_plan``
         / ``checkpoint_interval``.
         """
-        if self.backend is not None:
-            raise InvalidParameterError(
-                "partial_fit runs on the NumPy path; use backend=None"
-            )
-        if self.sparse or self.shard_rows is not None:
-            raise InvalidParameterError(
-                "partial_fit supports neither sparse CG nor row sharding"
-            )
-        if self.solver != "cg":
-            raise InvalidParameterError(
-                "partial_fit requires solver='cg' (the randomized direct "
-                "solves have no warm-startable iteration)"
-            )
-        if self.fault_plan is not None or self.checkpoint_interval is not None:
-            raise InvalidParameterError(
-                "partial_fit does not drive the resilient solver"
-            )
-        X = np.asarray(X, dtype=self.param.dtype)
-        if X.ndim != 2:
-            raise DataError("training data must be 2-D")
-        if X.shape[0] == 0:
-            if self.model_ is None:
-                raise DataError("the first partial_fit chunk is empty")
-            return self  # bit-exact no-op: nothing changes
-        engine = self._engine
-        if engine is None:
-            engine = IncrementalEngine(
-                self.param,
-                precondition=self.precondition,
-                precond_rank=self.precond_rank,
-                precond_rng=self.precond_rng,
-                solver_threads=self.solver_threads,
-                tile_cache_mb=self.tile_cache_mb,
-                compute_dtype=self.compute_dtype,
-            )
-            if self.implicit is True:
-                engine.explicit_limit = 0
-            elif self.implicit is False:
-                engine.explicit_limit = 2**62
-            if self.model_ is not None:
-                if (
-                    not isinstance(self.model_, LSSVMModel)
-                    or self._train_targets is None
-                    or not isinstance(self.model_.support_vectors, np.ndarray)
-                ):
-                    raise InvalidParameterError(
-                        "cannot continue incrementally from the previous fit "
-                        "(compact/row-source models keep no appendable "
-                        "support set); start from a fresh estimator"
-                    )
-                engine.seed(
-                    self.model_.support_vectors,
-                    self._train_targets,
-                    self.model_.alpha,
-                )
-                self._partial_labels = self.model_.labels
-            self._engine = engine
-        labels = getattr(self, "_partial_labels", None)
-        if labels is None:
-            y_enc, labels = encode_labels(y)
-            self._partial_labels = labels
-        else:
-            y_enc = self._encode_chunk(y, labels)
-        self.timings_ = ComponentTimer()
-        reset_peak_rss()
-        with fit_scope("LSSVC.partial_fit", estimator="LSSVC") as ctx:
-            with memory_budget(self.memory_budget_mb), self.timings_.section("total"):
-                with self.timings_.section("refit"), ctx.span(
-                    "refit", new_rows=X.shape[0], total_rows=engine.num_rows + X.shape[0]
-                ):
-                    res = engine.update(X, y_enc)
-                sample_peak_rss(ctx)
-                model = self.model_
-                if isinstance(model, LSSVMModel):
-                    # Mutate in place: live serving handles keep pointing at
-                    # this object; invalidation refreshes their caches and
-                    # fires any registry generation bump.
-                    model.support_vectors = engine.X
-                    model.alpha = res.alpha
-                    model.bias = float(res.bias)
-                    model.param = engine.param
-                    model.labels = labels
-                    model.invalidate_caches()
-                else:
-                    self.model_ = LSSVMModel(
-                        support_vectors=engine.X,
-                        alpha=res.alpha,
-                        bias=float(res.bias),
-                        param=engine.param,
-                        labels=labels,
-                    )
-        self.result_ = res.result
-        self._train_targets = engine.y
-        self.report_ = build_report(
-            ctx,
+        step = _append_lssvm(
+            self._engine,
+            self._solution,
+            X,
+            y,
+            self._encode_chunk,
+            self.param,
+            *_configs(self),
             estimator="LSSVC",
-            backend=self._backend_description(),
-            num_samples=engine.num_rows,
-            num_features=engine.X.shape[1],
-            timings=self.timings_,
-            result=res.result,
-            warm_start_iterations=res.warm_start_iterations,
+            implicit=self.implicit,
+            backend=self.backend,
+            sparse=self.sparse,
         )
+        if step is not None:
+            self._engine, solution, labels = step
+            self._adopt(solution, labels, into=self.model_)
         return self
 
-    @staticmethod
-    def _encode_chunk(y, labels) -> np.ndarray:
-        """Encode a follow-up chunk against the established label alphabet."""
+    def _encode_chunk(self, y) -> Tuple[np.ndarray, Tuple[float, float]]:
+        """Encode a chunk against the label alphabet (the first one sets it)."""
+        if self._labels is None:
+            return encode_labels(y)
         y = np.asarray(y).ravel()
         if y.size == 0:
             raise DataError("label vector is empty")
-        pos, neg = labels
+        pos, neg = self._labels
         unknown = (y != pos) & (y != neg)
         if unknown.any():
             raise DataError(
                 f"chunk contains labels outside the fitted alphabet "
                 f"({pos:g}, {neg:g})"
             )
-        return np.where(y == pos, 1.0, -1.0)
+        return np.where(y == pos, 1.0, -1.0), self._labels
 
     def _require_model(self) -> LSSVMModel:
         if self.model_ is None:

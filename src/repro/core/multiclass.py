@@ -13,7 +13,9 @@ LIBSVM's convention respectively:
 
 Any binary estimator with the ``fit`` / ``decision_function`` interface
 can be plugged in via ``estimator_factory`` — by default a fresh
-:class:`repro.core.lssvm.LSSVC` with the given hyper-parameters.
+:class:`repro.core.lssvm.LSSVC` with the given hyper-parameters. With the
+default machines, one-vs-all trains all ``K`` of them with one LS-SVM core
+solve of the ``(m, K)`` one-vs-rest target block.
 """
 
 from __future__ import annotations
@@ -24,23 +26,21 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..exceptions import DataError, InvalidParameterError, NotFittedError
-from ..membudget import memory_budget, reset_peak_rss, sample_peak_rss
 from ..parameter import Parameter, ResourceConfig, SolverConfig
-from ..telemetry import TrainingReport, build_report, fit_scope
+from ..profiling import ComponentTimer
+from ..telemetry import TrainingReport
 from ..types import KernelType
-from .cg import conjugate_gradient_block
 from .estimator import ParamsMixin, apply_config, warn_deprecated_flat_kwargs
-from .incremental import IncrementalEngine
-from .lssvm import LSSVC
-from .model import FeatureMapModel, LSSVMModel
-from .precond import make_preconditioner
-from .qmatrix import build_reduced_system
-from .solvers import (
-    SolverInfo,
-    fit_rff_primal_multi,
-    resolve_solver,
-    solve_nystrom_block,
+from .lssvm import (
+    LSSVC,
+    _Solution,
+    _append_lssvm,
+    _check_options,
+    _configs,
+    _model_from,
+    _solve_lssvm,
 )
+from .model import FeatureMapModel
 
 __all__ = ["OneVsAllLSSVC", "OneVsOneLSSVC"]
 
@@ -68,6 +68,11 @@ def _unique_labels(y: np.ndarray) -> np.ndarray:
     if labels.size < 2:
         raise DataError("multi-class training requires at least two classes")
     return labels
+
+
+def _one_vs_rest(y: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The ``(m, K)`` block of per-class +1/-1 targets."""
+    return np.stack([np.where(y == label, 1.0, -1.0) for label in classes], axis=1)
 
 
 def _positive_first(X: np.ndarray, binary: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,15 +156,17 @@ class _MulticlassBase(ParamsMixin):
         apply_config(
             self, getattr(self, "resources", None), supported=_MC_RESOURCE_FIELDS
         )
+        self.param = Parameter(
+            kernel=self.kernel,
+            cost=self.C,
+            gamma=self.gamma,
+            degree=self.degree,
+            coef0=self.coef0,
+            epsilon=self.epsilon,
+        )
+        _check_options(self)
         self._predict_state = None
         self._engine = None
-
-    @property
-    def _default_factory(self) -> bool:
-        # The shared block solve builds the reduced system itself; it only
-        # applies when the machines are the default LSSVC (a custom factory
-        # may wrap any estimator, whose fit we must not bypass).
-        return self.estimator_factory is None
 
     def _make_estimator(self):
         """One fresh binary machine, resolved at fit time.
@@ -220,11 +227,11 @@ class OneVsAllLSSVC(_MulticlassBase):
 
     All ``K`` machines share the same training points, so their reduced
     systems share the same ``Q_tilde`` — only the right-hand sides differ
-    (``y`` re-signed per class). The default path therefore assembles
-    **one** operator and solves all ``K`` systems with a single block-CG
-    run: one kernel-tile sweep per iteration for the whole ensemble,
-    instead of ``K`` independent sweeps. ``shared_solve=False`` (or a
-    custom ``estimator_factory``) falls back to per-class fits.
+    (``y`` re-signed per class). With the default machines the fit is
+    therefore **one** LS-SVM solve of the ``(m, K)`` target block: one
+    operator, one block-CG run, one kernel-tile sweep per iteration for
+    the whole ensemble. A custom ``estimator_factory`` fits one machine
+    per class instead.
     """
 
     def __init__(
@@ -247,7 +254,6 @@ class OneVsAllLSSVC(_MulticlassBase):
         solver_seed: Union[None, int, np.random.Generator] = 0,
         polish_iters: int = 0,
         estimator_factory: Optional[Callable[[], object]] = None,
-        shared_solve: bool = True,
         memory_budget_mb: Optional[float] = None,
         shard_rows: Optional[int] = None,
         config: Optional[SolverConfig] = None,
@@ -279,190 +285,62 @@ class OneVsAllLSSVC(_MulticlassBase):
             config=config,
             resources=resources,
         )
-        self.shared_solve = bool(shared_solve)
         self.warm_start = bool(warm_start)
         self.report_: Optional[TrainingReport] = None
+        self.timings_ = ComponentTimer()
+        self._solution: Optional[_Solution] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsAllLSSVC":
         from ..io.chunked import is_row_source  # deferred: io imports core
 
         y = np.asarray(y).ravel()
-        # Warm start: stack the previous ensemble's multipliers before the
-        # machines are discarded (only a shared support set maps onto the
-        # new block unknown).
-        self._warm_prev = None
-        if self.warm_start and getattr(self, "machines_", None):
-            models = [getattr(m, "model_", None) for m in self.machines_]
-            if models and all(isinstance(mod, LSSVMModel) for mod in models):
-                sv = models[0].support_vectors
-                if all(mod.support_vectors is sv for mod in models[1:]):
-                    self._warm_prev = np.column_stack([mod.alpha for mod in models])
-        self._engine = None
-        self._train_targets = None
-        self._predict_state = None
-        self.classes_ = _unique_labels(y)
-        self.machines_: List[object] = []
-        if not is_row_source(X):
-            X = np.asarray(X)
-        elif not (self.shared_solve and self._default_factory):
+        classes = _unique_labels(y)
+        solution = None
+        if self.estimator_factory is None:
+            solution = _solve_lssvm(
+                X,
+                _one_vs_rest(y, classes),
+                self.param,
+                *_configs(self),
+                estimator="OneVsAllLSSVC",
+                implicit=self.implicit,
+                warm_from=self._solution if self.warm_start else None,
+            )
+            machines = self._attach(solution, [self._make_estimator() for _ in classes])
+        elif is_row_source(X):
             raise InvalidParameterError(
                 "chunked/row-source training data requires the shared block "
-                "solve (shared_solve=True with the default estimator factory)"
+                "solve of the default estimator factory"
             )
-        if self.shared_solve and self._default_factory:
-            return self._fit_shared(X, y)
-        for label in self.classes_:
-            binary = np.where(y == label, 1.0, -1.0)
-            if not np.any(binary == 1.0):
-                raise DataError(f"class {label} has no samples")
-            X_ord, binary_ord = _positive_first(X, binary)
-            clf = self._make_estimator()
-            clf.fit(X_ord, binary_ord)
-            self.machines_.append(clf)
+        else:
+            X = np.asarray(X)
+            machines = []
+            for label in classes:
+                binary = np.where(y == label, 1.0, -1.0)
+                X_ord, binary_ord = _positive_first(X, binary)
+                clf = self._make_estimator()
+                clf.fit(X_ord, binary_ord)
+                machines.append(clf)
+        self.classes_, self.machines_ = classes, machines
+        self._engine = None
+        self._predict_state = None
+        self._adopt(solution)
         return self
 
-    def _fit_shared(self, X: np.ndarray, y: np.ndarray) -> "OneVsAllLSSVC":
-        """Train every one-vs-rest machine from one block solve.
+    def _adopt(self, solution: Optional[_Solution]) -> None:
+        self._solution = solution
+        self.report_ = None if solution is None else solution.report
+        self.timings_ = ComponentTimer() if solution is None else solution.timings
 
-        The per-class systems differ only in their labels: the reduced
-        matrix of Eq. 14 depends on ``X`` (and ``C``) alone, while the
-        right-hand side ``y_bar - y_m * 1`` and the bias recovery of
-        Eq. 15 take the class-specific ``+1/-1`` targets. No reordering is
-        needed (unlike :func:`_positive_first` on the legacy path): the
-        orientation is pinned by constructing the targets as +1 for the
-        class itself.
-        """
-        from ..io.chunked import is_row_source  # deferred: io imports core
-
-        param = Parameter(
-            kernel=self.kernel,
-            cost=self.C,
-            gamma=self.gamma,
-            degree=self.degree,
-            coef0=self.coef0,
-            epsilon=self.epsilon,
-        )
-        if not is_row_source(X):
-            X = np.ascontiguousarray(X, dtype=param.dtype)
-        # (m, K) matrix of per-class +1/-1 targets.
-        Y = np.stack(
-            [np.where(y == label, 1.0, -1.0) for label in self.classes_], axis=1
-        )
-        solver = resolve_solver(self.solver)
-        warm_iterations = 0
-        # Reset the kernel RSS high-water mark before the wall clock
-        # starts so the /proc write does not count against the fit.
-        reset_peak_rss()
-        with fit_scope(
-            "OneVsAllLSSVC.fit", estimator="OneVsAllLSSVC", classes=len(self.classes_)
-        ) as ctx, memory_budget(self.memory_budget_mb):
-            if solver == "rff":
-                # The random-feature primal shares even more than the
-                # reduced system: one feature map, one Gram accumulation,
-                # K right-hand sides of one (r+1)-dimensional solve.
-                fmap, W, biases, result, info = fit_rff_primal_multi(
-                    X, Y, param, rank=self.solver_rank, rng=self.solver_seed
-                )
-                resolved = param.with_gamma_for(X.shape[1])
-                seed = self.solver_seed if isinstance(self.solver_seed, int) else None
-                for j, _ in enumerate(self.classes_):
-                    clf = self._make_estimator()
-                    clf.model_ = FeatureMapModel(
-                        omega=fmap.omega,
-                        offsets=fmap.offsets,
-                        weights=np.ascontiguousarray(W[:, j]),
-                        bias=float(biases[j]),
-                        param=resolved,
-                        labels=(1.0, -1.0),
-                        seed=seed,
-                    )
-                    clf.result_ = result.column(j)
-                    self.machines_.append(clf)
-            else:
-                with ctx.span("assembly"):
-                    qmat, _ = build_reduced_system(
-                        X,
-                        Y[:, 0],
-                        param,
-                        implicit=self.implicit,
-                        solver_threads=self.solver_threads,
-                        tile_cache_mb=self.tile_cache_mb,
-                        compute_dtype=self.compute_dtype,
-                        shard_rows=self.shard_rows,
-                    )
-                sample_peak_rss(ctx)
-                B = Y[:-1, :] - Y[-1:, :]  # per-class rhs of Eq. 14
-                if solver == "nystrom":
-                    result, info = solve_nystrom_block(
-                        qmat,
-                        B,
-                        rank=self.solver_rank,
-                        rng=self.solver_seed,
-                        polish_iters=self.polish_iters,
-                        epsilon=self.epsilon,
-                    )
-                else:
-                    info = SolverInfo()
-                    precond = make_preconditioner(
-                        qmat, self.precondition, rank=self.precond_rank, rng=0
-                    )
-                    X0 = None
-                    prev = getattr(self, "_warm_prev", None)
-                    n = B.shape[0]
-                    if prev is not None and prev.shape[1] == len(self.classes_):
-                        if prev.shape[0] == n + 1:
-                            # Same-size refit: drop the recovered
-                            # eliminated row.
-                            X0 = np.array(prev[:n], dtype=qmat.dtype)
-                        elif 0 < prev.shape[0] <= n:
-                            X0 = np.zeros((n, prev.shape[1]), dtype=qmat.dtype)
-                            X0[: prev.shape[0]] = prev
-                    result = conjugate_gradient_block(
-                        qmat,
-                        B,
-                        epsilon=self.epsilon,
-                        max_iter=param.max_iter,
-                        preconditioner=precond,
-                        X0=X0,
-                    )
-                    if X0 is not None:
-                        warm_iterations = result.iterations
-                for j, _ in enumerate(self.classes_):
-                    alpha_bar = result.X[:, j]
-                    s = float(alpha_bar.sum())
-                    # Eq. 15 with this machine's eliminated target Y[-1, j].
-                    bias = (
-                        float(Y[-1, j]) + qmat.q_mm * s - float(qmat.q_bar @ alpha_bar)
-                    )
-                    alpha = np.concatenate(
-                        [alpha_bar, np.asarray([-s], dtype=qmat.dtype)]
-                    )
-                    clf = self._make_estimator()
-                    clf.model_ = LSSVMModel(
-                        support_vectors=qmat.X,
-                        alpha=alpha,
-                        bias=bias,
-                        param=qmat.param,
-                        labels=(1.0, -1.0),
-                    )
-                    clf.result_ = result.column(j)
-                    self.machines_.append(clf)
-            sample_peak_rss(ctx)
-        # Keep the target block so partial_fit can continue this fit.
-        self._train_targets = Y if isinstance(X, np.ndarray) else None
-        self.report_ = build_report(
-            ctx,
-            estimator="OneVsAllLSSVC",
-            backend="numpy (shared block solve)",
-            num_samples=X.shape[0],
-            num_features=X.shape[1],
-            result=result,
-            solver_strategy=info.strategy,
-            solver_rank=info.rank,
-            solver_setup_seconds=info.setup_seconds,
-            warm_start_iterations=warm_iterations,
-        )
-        return self
+    @staticmethod
+    def _attach(solution: _Solution, machines: List[object]) -> List[object]:
+        """Point machine ``j`` at column ``j`` of the block solve."""
+        for j, clf in enumerate(machines):
+            clf.model_ = _model_from(
+                solution, (1.0, -1.0), j, into=getattr(clf, "model_", None)
+            )
+            clf.result_ = solution.result.column(j)
+        return machines
 
     def partial_fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsAllLSSVC":
         """Extend the shared training set by a chunk and refit all machines.
@@ -472,141 +350,57 @@ class OneVsAllLSSVC(_MulticlassBase):
         machine's previous multiplier column seeds the block initial
         guess. The first call must contain every class (it fixes
         ``classes_``); later chunks may contain any subset. A zero-row
-        chunk is a bit-exact no-op. Continuing after a regular
-        :meth:`fit` reuses that fit's solution (one kernel bootstrap on
-        the first chunk).
+        chunk is a bit-exact no-op, and a rejected chunk leaves the
+        estimator as it was. Continuing after a regular :meth:`fit` reuses
+        that fit's solution (one kernel bootstrap on the first chunk).
 
         Machines' models are mutated in place with their caches
         invalidated, so live serving handles observe the refreshed
-        ensemble. Requires the default shared solve with ``solver="cg"``
-        and no row sharding.
+        ensemble. Requires the default machines with ``solver="cg"`` and
+        no row sharding.
         """
-        if not (self.shared_solve and self._default_factory):
+        if self.estimator_factory is not None or (
+            self._solution is None and self.classes_ is not None
+        ):
             raise InvalidParameterError(
-                "partial_fit requires the shared block solve "
-                "(shared_solve=True with the default estimator factory)"
+                "partial_fit requires the shared block solve of the default "
+                "estimator factory (start from a fresh estimator)"
             )
-        if resolve_solver(self.solver) != "cg":
-            raise InvalidParameterError("partial_fit requires solver='cg'")
-        if self.shard_rows is not None:
-            raise InvalidParameterError(
-                "partial_fit does not support row sharding"
-            )
-        param = Parameter(
-            kernel=self.kernel,
-            cost=self.C,
-            gamma=self.gamma,
-            degree=self.degree,
-            coef0=self.coef0,
-            epsilon=self.epsilon,
+        step = _append_lssvm(
+            self._engine,
+            self._solution,
+            X,
+            y,
+            self._encode_chunk,
+            self.param,
+            *_configs(self),
+            estimator="OneVsAllLSSVC",
+            implicit=self.implicit,
         )
-        X = np.asarray(X, dtype=param.dtype)
-        if X.ndim != 2:
-            raise DataError("training data must be 2-D")
-        if X.shape[0] == 0:
-            if self.classes_ is None:
-                raise DataError("the first partial_fit chunk is empty")
-            return self  # bit-exact no-op
+        if step is None:
+            return self
+        self._engine, solution, classes = step
+        machines = self.machines_ if self.classes_ is not None else [
+            self._make_estimator() for _ in classes
+        ]
+        self.classes_, self.machines_ = classes, self._attach(solution, machines)
+        # Drop the stacked-coefficient prediction cache: the support set
+        # object changed, the next decision_matrix rebuilds it.
+        self._predict_state = None
+        self._adopt(solution)
+        return self
+
+    def _encode_chunk(self, y) -> Tuple[np.ndarray, np.ndarray]:
+        """One-vs-rest targets of a chunk; the first chunk fixes the classes."""
         y = np.asarray(y).ravel()
-        if y.shape[0] != X.shape[0]:
-            raise DataError("label vector length does not match data")
-        engine = getattr(self, "_engine", None)
-        if engine is None:
-            engine = IncrementalEngine(
-                param,
-                precondition=self.precondition,
-                precond_rank=self.precond_rank,
-                solver_threads=self.solver_threads,
-                tile_cache_mb=self.tile_cache_mb,
-                compute_dtype=self.compute_dtype,
-            )
-            if self.implicit is True:
-                engine.explicit_limit = 0
-            elif self.implicit is False:
-                engine.explicit_limit = 2**62
-            if self.classes_ is not None:
-                # Continue from a previous shared fit.
-                models = [getattr(m, "model_", None) for m in self.machines_]
-                targets = getattr(self, "_train_targets", None)
-                shared = (
-                    models
-                    and all(isinstance(mod, LSSVMModel) for mod in models)
-                    and all(
-                        mod.support_vectors is models[0].support_vectors
-                        for mod in models[1:]
-                    )
-                )
-                if not shared or targets is None:
-                    raise InvalidParameterError(
-                        "cannot continue incrementally from the previous fit "
-                        "(machines do not share an appendable support set); "
-                        "start from a fresh estimator"
-                    )
-                engine.seed(
-                    models[0].support_vectors,
-                    targets,
-                    np.column_stack([mod.alpha for mod in models]),
-                )
-            else:
-                self.classes_ = _unique_labels(y)
-                self.machines_ = [
-                    self._make_estimator() for _ in self.classes_
-                ]
-            self._engine = engine
-        unknown = ~np.isin(y, self.classes_)
+        classes = _unique_labels(y) if self.classes_ is None else self.classes_
+        unknown = ~np.isin(y, classes)
         if unknown.any():
             raise DataError(
                 f"chunk contains labels outside classes_ "
                 f"({np.unique(y[unknown])})"
             )
-        Y = np.stack(
-            [np.where(y == label, 1.0, -1.0) for label in self.classes_], axis=1
-        )
-        reset_peak_rss()
-        with fit_scope(
-            "OneVsAllLSSVC.partial_fit",
-            estimator="OneVsAllLSSVC",
-            classes=len(self.classes_),
-        ) as ctx, memory_budget(self.memory_budget_mb):
-            with ctx.span(
-                "refit", new_rows=X.shape[0], total_rows=engine.num_rows + X.shape[0]
-            ):
-                res = engine.update(X, Y)
-            sample_peak_rss(ctx)
-            for j, clf in enumerate(self.machines_):
-                alpha_j = np.ascontiguousarray(res.alpha[:, j])
-                model = getattr(clf, "model_", None)
-                if isinstance(model, LSSVMModel):
-                    model.support_vectors = engine.X
-                    model.alpha = alpha_j
-                    model.bias = float(res.bias[j])
-                    model.param = engine.param
-                    model.labels = (1.0, -1.0)
-                    model.invalidate_caches()
-                else:
-                    clf.model_ = LSSVMModel(
-                        support_vectors=engine.X,
-                        alpha=alpha_j,
-                        bias=float(res.bias[j]),
-                        param=engine.param,
-                        labels=(1.0, -1.0),
-                    )
-                clf.result_ = res.result.column(j)
-            # Drop the stacked-coefficient prediction cache: the support
-            # set object changed, the next decision_matrix rebuilds it.
-            self._predict_state = None
-            sample_peak_rss(ctx)
-        self._train_targets = engine.y
-        self.report_ = build_report(
-            ctx,
-            estimator="OneVsAllLSSVC",
-            backend="numpy (shared block solve)",
-            num_samples=engine.num_rows,
-            num_features=engine.X.shape[1],
-            result=res.result,
-            warm_start_iterations=res.warm_start_iterations,
-        )
-        return self
+        return _one_vs_rest(y, classes), classes
 
     def _shared_predict_state(self):
         """Stacked coefficients when every machine shares one support set.

@@ -38,7 +38,7 @@ Both classes share the rank-one correction algebra
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -367,59 +367,6 @@ class ExplicitQMatrix(QMatrixBase):
         K -= self.q_bar[:, None]
         K += self.q_mm
         self._dense = K
-
-    @classmethod
-    def from_kernel(
-        cls,
-        K: np.ndarray,
-        X: np.ndarray,
-        y: np.ndarray,
-        param: Parameter,
-        *,
-        ridge: Optional[np.ndarray] = None,
-        binary_labels: bool = True,
-    ) -> "ExplicitQMatrix":
-        """Build the corrected system from a precomputed raw kernel matrix.
-
-        ``K`` is the full ``m x m`` kernel Gram matrix ``k(x_i, x_j)`` over
-        *all* training points (no ridge, no corrections). The incremental
-        engine maintains ``K`` across ``partial_fit`` calls — appending
-        ``k`` rows costs only the ``O(m k)`` new kernel entries — and this
-        constructor turns it into Q_tilde without re-evaluating a single
-        kernel entry: ``q_bar`` is the last column, ``k_mm`` the corner,
-        and the dense correction is elementwise O(m²) arithmetic.
-        """
-        X, y = _validate_training_data(X, y, param.dtype, binary_labels=binary_labels)
-        param = param.with_gamma_for(X.shape[1])
-        K = np.asarray(K, dtype=param.dtype)
-        m = X.shape[0]
-        if K.shape != (m, m):
-            raise DataError(
-                f"kernel matrix of shape {K.shape} does not match "
-                f"{m} training points"
-            )
-        self = cls.__new__(cls)
-        self.X = X
-        self.X_bar = X[:-1]
-        self.x_m = X[-1]
-        q_bar = np.array(K[:-1, -1], dtype=param.dtype)
-        self._finish_init(y, param, q_bar, float(K[-1, -1]), ridge=ridge)
-        n = self.shape[0]
-        budget = active_memory_budget()
-        estimate = n * n * np.dtype(self.dtype).itemsize
-        if budget is not None and estimate > budget:
-            raise InvalidParameterError(
-                f"ExplicitQMatrix would materialize the dense "
-                f"{n}x{n} reduced system ({format_bytes(estimate)}), "
-                f"exceeding the active memory budget of {format_bytes(budget)}"
-            )
-        D = np.array(K[:-1, :-1], dtype=self.dtype)
-        D += np.diag(self.ridge_bar)
-        D -= self.q_bar[None, :]
-        D -= self.q_bar[:, None]
-        D += self.q_mm
-        self._dense = D
-        return self
 
     @classmethod
     def from_parts(
@@ -758,9 +705,40 @@ class ImplicitQMatrix(QMatrixBase):
 
 
 def reduced_rhs(y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the reduced system (Eq. 14)."""
-    y = np.asarray(y).ravel()
+    """Right-hand side of the reduced system (Eq. 14).
+
+    ``y`` may be an ``(m, k)`` block of targets sharing one operator; the
+    result is then the ``(m-1, k)`` block of per-column right-hand sides.
+    """
+    y = np.asarray(y)
+    if y.ndim == 2:
+        return y[:-1] - y[-1:]
+    y = y.ravel()
     return y[:-1] - y[-1]
+
+
+def _warm_start_guess(previous, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
+    """Initial guess for a reduced unknown of ``shape`` from a previous solution.
+
+    ``previous`` is a full multiplier vector (or ``(m, k)`` block, one
+    column per target), eliminated point recovered. The reduced system
+    eliminates the *last* point, so earlier rows keep their indices: a
+    same-size refit drops the recovered entry, appended rows start at
+    zero. ``None`` when the shapes do not match or the system shrank.
+    """
+    if previous is None:
+        return None
+    previous = np.asarray(previous)
+    n, p = shape[0], previous.shape[0]
+    if previous.shape[1:] != tuple(shape[1:]):
+        return None
+    if p == n + 1:
+        return np.array(previous[:n], dtype=dtype)
+    if not 0 < p <= n:
+        return None
+    x0 = np.zeros(shape, dtype=dtype)
+    x0[:p] = previous
+    return x0
 
 
 def build_reduced_system(
@@ -775,6 +753,8 @@ def build_reduced_system(
     compute_dtype=None,
     shard_rows: Optional[int] = None,
     shard_size: Optional[int] = None,
+    ridge: Optional[np.ndarray] = None,
+    binary_labels: bool = True,
 ) -> Tuple[QMatrixBase, np.ndarray]:
     """Assemble ``(Q_tilde, rhs)`` for the given training data.
 
@@ -791,7 +771,11 @@ def build_reduced_system(
     ``X`` may also be a :class:`repro.sparse.CSRMatrix` or a row source
     (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``); that,
     or a ``shard_rows`` / ``shard_size`` partition, always selects the
-    matrix-free :class:`ImplicitQMatrix`.
+    matrix-free :class:`ImplicitQMatrix`. ``ridge`` / ``binary_labels``
+    pass through to the operator (per-point ridges of the weighted LS-SVM,
+    real-valued regression targets).
+
+    This is the one place that picks an operator for a training fit.
     """
     from ..io.chunked import is_row_source
 
@@ -821,27 +805,42 @@ def build_reduced_system(
             compute_dtype=compute_dtype,
             num_shards=shard_rows,
             shard_size=shard_size,
+            ridge=ridge,
+            binary_labels=binary_labels,
         )
     else:
-        q = ExplicitQMatrix(X, y, param)
+        q = ExplicitQMatrix(X, y, param, ridge=ridge, binary_labels=binary_labels)
     return q, q.rhs()
 
 
 def recover_bias_and_alpha(
-    qmat: QMatrixBase, alpha_bar: np.ndarray
-) -> Tuple[np.ndarray, float]:
+    qmat: QMatrixBase, alpha_bar: np.ndarray, y_m=None
+) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
     """Recover the full multiplier vector and the bias from ``alpha_bar``.
 
     The eliminated multiplier follows from the equality constraint
     ``sum(alpha) = 0`` of Eq. 11, i.e. ``alpha_m = -sum(alpha_bar)``; the
     bias is Eq. 15: ``b = y_m + Q_mm * <1, alpha_bar> - <q_bar, alpha_bar>``.
+
+    ``alpha_bar`` may be an ``(m-1, k)`` block, one column per target
+    column; ``y_m`` then holds the eliminated point's ``k`` targets and the
+    result is the ``(m, k)`` block with a ``(k,)`` bias vector. ``y_m``
+    defaults to the operator's own eliminated target.
     """
-    alpha_bar = np.asarray(alpha_bar, dtype=qmat.dtype).ravel()
+    y_m = qmat.y_m if y_m is None else y_m
+    alpha_bar = np.asarray(alpha_bar, dtype=qmat.dtype)
+    if alpha_bar.ndim != 2:
+        alpha_bar = alpha_bar.ravel()
     if alpha_bar.shape[0] != qmat.shape[0]:
         raise DataError(
             f"alpha length {alpha_bar.shape[0]} does not match system size {qmat.shape[0]}"
         )
+    if alpha_bar.ndim == 2:
+        s = alpha_bar.sum(axis=0)
+        bias = np.asarray(y_m, dtype=np.float64) + qmat.q_mm * s - qmat.q_bar @ alpha_bar
+        alpha = np.vstack([alpha_bar, -s[None, :]]).astype(qmat.dtype, copy=False)
+        return alpha, np.asarray(bias, dtype=np.float64)
     s = float(alpha_bar.sum())
-    bias = qmat.y_m + qmat.q_mm * s - float(qmat.q_bar @ alpha_bar)
+    bias = float(y_m) + qmat.q_mm * s - float(qmat.q_bar @ alpha_bar)
     alpha = np.concatenate([alpha_bar, np.asarray([-s], dtype=qmat.dtype)])
     return alpha, bias

@@ -13,8 +13,9 @@ hyperplane. Suykens' two-stage remedy:
    per-point ridge ``1 / (C * v_i)`` — outliers get a tiny effective C.
 
 The reduced system machinery accepts per-point ridges directly
-(:class:`repro.core.qmatrix.QMatrixBase`'s ``ridge``), so stage 2 is the
-same CG solve on a reweighted diagonal.
+(:class:`repro.core.qmatrix.QMatrixBase`'s ``ridge``), so every stage is
+the same LS-SVM core solve (:mod:`repro.core.lssvm`) on a reweighted
+diagonal.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError, NotFittedError
 from ..parameter import Parameter
+from ..profiling import ComponentTimer
 from ..types import KernelType
-from .cg import conjugate_gradient
-from .lssvm import encode_labels
+from .lssvm import _configs, _model_from, _solve_lssvm, encode_labels
 from .model import LSSVMModel
-from .qmatrix import EXPLICIT_LIMIT, ExplicitQMatrix, ImplicitQMatrix, recover_bias_and_alpha
 
 __all__ = ["WeightedLSSVC", "hampel_weights"]
 
@@ -102,41 +102,33 @@ class WeightedLSSVC:
         self.implicit = implicit
         self.model_: Optional[LSSVMModel] = None
         self.weights_: Optional[np.ndarray] = None
-
-    def _solve(self, X: np.ndarray, y_enc: np.ndarray, ridge: Optional[np.ndarray]):
-        implicit = self.implicit
-        if implicit is None:
-            implicit = X.shape[0] > EXPLICIT_LIMIT
-        cls = ImplicitQMatrix if implicit else ExplicitQMatrix
-        qmat = cls(X, y_enc, self.param, ridge=ridge)
-        result = conjugate_gradient(
-            qmat, qmat.rhs(), epsilon=self.param.epsilon,
-            warn_on_no_convergence=False,
-        )
-        alpha, bias = recover_bias_and_alpha(qmat, result.x)
-        return qmat, alpha, bias
+        self.timings_ = ComponentTimer()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "WeightedLSSVC":
         X = np.asarray(X, dtype=self.param.dtype)
         y_enc, labels = encode_labels(y)
         weights = np.ones(X.shape[0], dtype=np.float64)
-        qmat = alpha = bias = None
+        timings = ComponentTimer()
         for stage in range(self.stages):
             ridge = 1.0 / (self.param.cost * weights)
-            qmat, alpha, bias = self._solve(X, y_enc, ridge)
+            solution = _solve_lssvm(
+                X,
+                y_enc,
+                self.param,
+                *_configs(self),
+                estimator="WeightedLSSVC",
+                implicit=self.implicit,
+                ridge=ridge,
+            )
+            timings.merge(solution.timings)
             if stage + 1 < self.stages:
-                errors = alpha * ridge  # e_i = alpha_i / (C v_i)
+                errors = solution.alpha * ridge  # e_i = alpha_i / (C v_i)
                 weights = hampel_weights(
                     errors, c1=self.c1, c2=self.c2, v_min=self.v_min
                 )
         self.weights_ = weights
-        self.model_ = LSSVMModel(
-            support_vectors=qmat.X,
-            alpha=alpha,
-            bias=bias,
-            param=qmat.param,
-            labels=labels,
-        )
+        self.model_ = _model_from(solution, labels)
+        self.timings_ = timings
         return self
 
     def _require_model(self) -> LSSVMModel:

@@ -8,9 +8,10 @@ byte budget (``LSSVC(memory_budget_mb=...)`` / ``plssvm-train
   code paths (``ExplicitQMatrix``, :func:`repro.core.qmatrix.build_reduced_system`,
   :class:`repro.io.chunked.ChunkedDataset`) consult before materializing
   large arrays, and
-* a *peak-RSS gauge* — ``resource.getrusage`` sampling recorded into the
-  telemetry context at phase boundaries and CG checkpoints, so the
-  ``TrainingReport`` can prove the budget held for a whole fit.
+* a *peak-RSS gauge* — the process's own high-water mark (``VmHWM`` on
+  Linux, ``getrusage`` elsewhere) sampled into the telemetry context at
+  phase boundaries and CG checkpoints, so the ``TrainingReport`` can
+  prove the budget held for a whole fit.
 
 The budget is stored in a :class:`contextvars.ContextVar` so concurrent fits
 on different threads (or nested fits) each see their own limit.
@@ -91,15 +92,23 @@ def format_bytes(nbytes: float) -> str:
 def peak_rss_bytes() -> int:
     """Peak resident-set size of this process, in bytes.
 
-    ``ru_maxrss`` is reported in kilobytes on Linux and in bytes on macOS;
-    returns 0 on platforms without :mod:`resource` (e.g. Windows).  The
-    value is the kernel's high-water mark since process start — or since
+    On Linux this is ``VmHWM`` from ``/proc/self/status``: the high-water
+    mark of this process's own address space since it started — or since
     the last successful :func:`reset_peak_rss`, which the fit entry points
-    call so the reported peak is the fit's own rather than the process
-    lifetime's (a child even inherits the parent's resident pages across
-    ``fork``, so without the reset a subprocess can start with a peak far
-    above anything it ever allocated itself).
+    call so the reported peak is the fit's own. ``getrusage``'s
+    ``ru_maxrss`` is the fallback elsewhere (kilobytes on Linux, bytes on
+    macOS; 0 without :mod:`resource`, e.g. on Windows). It is not used on
+    Linux because a child folds its parent's peak into ``ru_maxrss`` when
+    it starts a new program, and no reset lowers it: a child of a 300 MB
+    process reads at least 300 MB however little it allocates itself.
     """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX

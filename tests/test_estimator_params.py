@@ -115,10 +115,10 @@ class TestClone:
         assert clone(est).get_params() == est.get_params()
 
     def test_multiclass_round_trip(self):
-        est = OneVsAllLSSVC(kernel="rbf", C=2.0, gamma=0.3, shared_solve=False)
+        est = OneVsAllLSSVC(kernel="rbf", C=2.0, gamma=0.3, warm_start=True)
         fresh = clone(est)
         assert fresh.get_params() == est.get_params()
-        assert fresh.shared_solve is False
+        assert fresh.warm_start is True
         est = OneVsOneLSSVC(kernel="linear", C=1.5)
         assert clone(est).get_params() == est.get_params()
 

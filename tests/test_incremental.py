@@ -78,7 +78,7 @@ class TestPartialFitEquivalence:
         inc = LSSVR(kernel="rbf", C=5.0, gamma=0.5, epsilon=1e-8)
         for Xc, yc in _shards(X, y, shards):
             inc.partial_fit(Xc, yc)
-        np.testing.assert_allclose(inc._alpha, batch._alpha, atol=1e-5)
+        np.testing.assert_allclose(inc.alpha_, batch.alpha_, atol=1e-5)
         np.testing.assert_allclose(
             inc.predict(X[:20]), batch.predict(X[:20]), atol=1e-5
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +89,28 @@ class TestMemoryBudget:
         with fit_scope("test.fit") as ctx:
             sampled = sample_peak_rss(ctx)
             assert ctx.metrics.value("peak_rss_bytes") == sampled
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux-only")
+    def test_child_reports_its_own_peak(self):
+        # A child inherits nothing of its parent's resident set: after a
+        # reset it reports its own peak, not the ~200 MB its parent holds.
+        held = np.ones(200 * 1024 * 1024 // 8)
+        try:
+            out = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "from repro.membudget import peak_rss_bytes, reset_peak_rss; "
+                    "reset_peak_rss(); print(peak_rss_bytes())",
+                ],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        finally:
+            del held
+        assert int(out.stdout) < 150 * 1024 * 1024
 
 
 class TestTwoPassParsers:
