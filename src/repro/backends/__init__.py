@@ -15,7 +15,6 @@ from ..exceptions import BackendUnavailableError
 from ..types import BackendType, TargetPlatform
 from .base import CSVM, SimulatedDeviceCSVM
 from .cuda import CUDACSVM
-from .device_qmatrix import DeviceQMatrix
 from .kernels import KernelConfig
 from .opencl import OpenCLCSVM
 from .openmp import OpenMPCSVM
@@ -29,7 +28,6 @@ __all__ = [
     "OpenCLCSVM",
     "OpenMPCSVM",
     "SYCLCSVM",
-    "DeviceQMatrix",
     "KernelConfig",
     "SoAMatrix",
     "transform_to_soa",

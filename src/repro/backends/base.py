@@ -10,7 +10,8 @@ CG. Every backend exposes the same two-method surface:
 
 :class:`SimulatedDeviceCSVM` implements the shared logic of the four device
 backends (CUDA / OpenCL / SYCL / device-OpenCL-on-CPU): device discovery
-against the catalog, multi-device setup, and simulated-time reporting. The
+against the catalog; the multi-device setup, modeled charges and
+simulated-time reporting come from :mod:`repro.backends.modeled`. The
 concrete backends only differ in which platforms they may target and which
 efficiency key prices their kernels — exactly the difference between the
 C++ backends, which share all optimizations but compile through different
@@ -24,38 +25,18 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.qmatrix import QMatrixBase
+from ..core.qmatrix import ImplicitQMatrix, QMatrixBase
 from ..exceptions import BackendUnavailableError, DeviceError
 from ..parameter import Parameter
 from ..profiling import ComponentTimer
 from ..simgpu.catalog import default_gpu, devices_for_platform, get_device_spec
 from ..simgpu.device import SimulatedDevice
 from ..simgpu.spec import DeviceSpec
-from ..telemetry.context import current_context
 from ..types import BackendType, TargetPlatform
-from .device_qmatrix import DeviceQMatrix
 from .kernels import KernelConfig
+from .modeled import ModeledBackend, report_device_summaries
 
 __all__ = ["CSVM", "SimulatedDeviceCSVM", "report_device_summaries"]
-
-
-def report_device_summaries(devices: Sequence[SimulatedDevice]) -> None:
-    """Push each device's end-of-solve summary into the active context.
-
-    Called from the backends' ``finalize`` so a fit's ``report_`` carries
-    the per-device modeled times Fig. 2-style comparisons need. Lost
-    devices are included (flagged), since their partial work and loss are
-    part of the fit's story.
-    """
-    ctx = current_context()
-    for device in devices:
-        summary = {
-            "device_id": device.device_id,
-            "name": device.spec.name,
-            "lost": device.lost,
-        }
-        summary.update(device.summary())
-        ctx.add_device_summary(summary)
 
 
 class CSVM(abc.ABC):
@@ -82,7 +63,7 @@ class CSVM(abc.ABC):
         return f"{self.backend_type} backend"
 
 
-class SimulatedDeviceCSVM(CSVM):
+class SimulatedDeviceCSVM(ModeledBackend, CSVM):
     """Shared implementation of the device (GPU) backends.
 
     Parameters
@@ -128,7 +109,6 @@ class SimulatedDeviceCSVM(CSVM):
         self.fault_plan = fault_plan
         for dev in self.devices:
             dev.attach_fault_plan(fault_plan)
-        self._last_qmatrix: Optional[DeviceQMatrix] = None
 
     # -- device discovery -------------------------------------------------------
 
@@ -185,30 +165,10 @@ class SimulatedDeviceCSVM(CSVM):
 
     def create_qmatrix(
         self, X: np.ndarray, y: np.ndarray, param: Parameter
-    ) -> DeviceQMatrix:
+    ) -> ImplicitQMatrix:
         for device in self.devices:
             device.reset()
-        qmat = DeviceQMatrix(X, y, param, self.devices, config=self.config)
-        self._last_qmatrix = qmat
-        return qmat
-
-    def finalize(self, qmat: QMatrixBase, timings: ComponentTimer) -> None:
-        if isinstance(qmat, DeviceQMatrix):
-            qmat.writeback()
-            timings.section("cg_device").add(qmat.device_time())
-            report_device_summaries(qmat.devices)
-
-    def device_time(self) -> float:
-        """Simulated device seconds of the most recent training run."""
-        if self._last_qmatrix is None:
-            raise DeviceError("no training run has been executed yet")
-        return self._last_qmatrix.device_time()
-
-    def memory_per_device_gib(self) -> List[float]:
-        """Peak simulated memory per device of the most recent training run."""
-        if self._last_qmatrix is None:
-            raise DeviceError("no training run has been executed yet")
-        return self._last_qmatrix.memory_per_device_gib()
+        return self._attach(ImplicitQMatrix(X, y, param), [self.devices], config=self.config)
 
     def describe(self) -> str:
         return (

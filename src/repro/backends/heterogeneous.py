@@ -15,22 +15,21 @@ slowest device is the critical path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.qmatrix import QMatrixBase
+from ..core.qmatrix import ImplicitQMatrix
 from ..exceptions import BackendUnavailableError, DeviceError
-from ..parallel.partition import feature_split, weighted_feature_split
+from ..parallel.partition import weighted_feature_split
 from ..parameter import Parameter
-from ..profiling import ComponentTimer
 from ..simgpu.catalog import get_device_spec
 from ..simgpu.device import SimulatedDevice
 from ..simgpu.spec import DeviceSpec
 from ..types import BackendType
-from .base import CSVM, report_device_summaries
-from .device_qmatrix import DeviceQMatrix
+from .base import CSVM
 from .kernels import KernelConfig
+from .modeled import ModeledBackend
 
 __all__ = ["HeterogeneousCSVM"]
 
@@ -47,7 +46,7 @@ def _best_key(spec: DeviceSpec) -> str:
     raise BackendUnavailableError(f"no device backend can drive {spec.name!r}")
 
 
-class HeterogeneousCSVM(CSVM):
+class HeterogeneousCSVM(ModeledBackend, CSVM):
     """Multi-device backend over a mixed set of simulated devices.
 
     Parameters
@@ -87,7 +86,6 @@ class HeterogeneousCSVM(CSVM):
         self.fault_plan = fault_plan
         for dev in self.devices:
             dev.attach_fault_plan(fault_plan)
-        self._last_qmatrix: Optional[DeviceQMatrix] = None
 
     @property
     def num_devices(self) -> int:
@@ -97,54 +95,16 @@ class HeterogeneousCSVM(CSVM):
         """Sustained FLOP/s per device under its chosen backend key."""
         return [d.cost_model.sustained_flops for d in self.devices]
 
-    def _ranges(self, num_features: int):
-        if len(self.devices) == 1:
-            return None
-        if self.balanced:
-            return weighted_feature_split(num_features, self.throughputs())
-        return feature_split(num_features, len(self.devices))
-
     def create_qmatrix(
         self, X: np.ndarray, y: np.ndarray, param: Parameter
-    ) -> DeviceQMatrix:
+    ) -> ImplicitQMatrix:
         for device in self.devices:
             device.reset()
-        qmat = DeviceQMatrix(
-            X,
-            y,
-            param,
-            self.devices,
-            config=self.config,
-            feature_ranges=self._ranges(np.asarray(X).shape[1]),
-        )
-        self._last_qmatrix = qmat
-        return qmat
-
-    def finalize(self, qmat: QMatrixBase, timings: ComponentTimer) -> None:
-        if isinstance(qmat, DeviceQMatrix):
-            qmat.writeback()
-            timings.section("cg_device").add(qmat.device_time())
-            report_device_summaries(qmat.devices)
-
-    def device_time(self) -> float:
-        if self._last_qmatrix is None:
-            raise DeviceError("no training run has been executed yet")
-        return self._last_qmatrix.device_time()
-
-    def per_device_times(self, *, include_init: bool = False) -> List[Tuple[str, float]]:
-        """(device name, busy seconds) pairs — the balancing diagnostic.
-
-        ``include_init=False`` (default) subtracts the one-time context
-        initialization: it is a constant per device and would mask the
-        balance of the actual iteration work at small problem sizes.
-        """
-        if self._last_qmatrix is None:
-            raise DeviceError("no training run has been executed yet")
-        out = []
-        for d in self._last_qmatrix.active_devices:
-            busy = d.clock - (0.0 if include_init else d.spec.init_overhead_s)
-            out.append((d.spec.name, max(busy, 0.0)))
-        return out
+        qmat = ImplicitQMatrix(X, y, param)
+        ranges = None  # the equal split
+        if self.balanced and len(self.devices) > 1:
+            ranges = weighted_feature_split(qmat.X.shape[1], self.throughputs())
+        return self._attach(qmat, [self.devices], config=self.config, feature_ranges=ranges)
 
     def imbalance(self) -> float:
         """Max/min active-device busy-time ratio (1.0 = perfectly balanced).

@@ -505,22 +505,20 @@ def encode_labels(y: np.ndarray) -> Tuple[np.ndarray, Tuple[float, float]]:
 
     Following LIBSVM, the first label encountered in the file/array becomes
     the internal ``+1`` class. Returns ``(encoded, (positive, negative))``.
+    NaN or infinite labels raise :class:`~repro.exceptions.DataError`.
     """
     y = np.asarray(y).ravel()
     if y.size == 0:
         raise DataError("label vector is empty")
-    classes = []
-    for value in y:
-        v = float(value)
-        if v not in classes:
-            classes.append(v)
-        if len(classes) > 2:
-            break
-    if len(classes) != 2:
+    values = y.astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataError("labels contain NaN or infinite values")
+    classes, first = np.unique(values, return_index=True)
+    if classes.size != 2:
         raise DataError(
-            f"binary classification requires exactly two classes, got {len(classes)}"
+            f"binary classification requires exactly two classes, got {classes.size}"
         )
-    pos, neg = classes[0], classes[1]
+    pos, neg = (float(c) for c in classes[np.argsort(first)])
     encoded = np.where(y == pos, 1.0, -1.0)
     return encoded, (pos, neg)
 

@@ -64,7 +64,10 @@ _MC_RESOURCE_FIELDS = (
 
 
 def _unique_labels(y: np.ndarray) -> np.ndarray:
-    labels = np.unique(np.asarray(y).ravel())
+    y = np.asarray(y).ravel()
+    if not np.all(np.isfinite(y.astype(np.float64))):
+        raise DataError("labels contain NaN or infinite values")
+    labels = np.unique(y)
     if labels.size < 2:
         raise DataError("multi-class training requires at least two classes")
     return labels

@@ -574,6 +574,9 @@ class ImplicitQMatrix(QMatrixBase):
         self._tile_cache_mb = tile_cache_mb
         self.compute_dtype = compute_dtype
         self._pipeline = None
+        #: Modeled devices (:class:`repro.backends.modeled.ModeledDevices`)
+        #: charged before every kernel product; ``None`` on the host path.
+        self.cost = None
 
     def _init_streamed(self, param: Parameter, y, *, ridge, binary_labels) -> None:
         """Validate and set up from ``self.source`` in one streaming pass."""
@@ -654,25 +657,32 @@ class ImplicitQMatrix(QMatrixBase):
     # -- matvec ------------------------------------------------------------
 
     def _kernel_matvec(self, v: np.ndarray) -> np.ndarray:
+        if self.cost is not None:
+            self.cost.charge_matvec()
         if self.param.kernel is not KernelType.LINEAR:
             return self.pipeline.sweep(v)
         if self.shards is not None:
             return self._sharded_gram(v[:, None])[:, 0]
         if self.csr is not None:
-            csr_bar = self.csr.head(self.shape[0])
-            return csr_bar.matvec(csr_bar.rmatvec(v))
+            return self._csr_gram(v)
         # K_bar @ v == X_bar @ (X_bar.T @ v): two GEMVs, O(m d).
         return self.X_bar @ (self.X_bar.T @ v)
 
     def _kernel_matvec_multi(self, V: np.ndarray) -> np.ndarray:
+        if self.cost is not None:
+            self.cost.charge_matvec(V.shape[1])
         if self.param.kernel is not KernelType.LINEAR:
             return self.pipeline.sweep(V)
         if self.shards is not None:
             return self._sharded_gram(V)
         if self.csr is not None:
-            return super()._kernel_matvec_multi(V)
+            return np.column_stack([self._csr_gram(V[:, j]) for j in range(V.shape[1])])
         # Two GEMMs instead of 2k GEMVs.
         return self.X_bar @ (self.X_bar.T @ V)
+
+    def _csr_gram(self, v: np.ndarray) -> np.ndarray:
+        csr_bar = self.csr.head(self.shape[0])
+        return csr_bar.matvec(csr_bar.rmatvec(v))
 
     def _sharded_gram(self, V: np.ndarray) -> np.ndarray:
         """Linear ``K_bar @ V`` over the row shards: one ``d``-length allreduce.

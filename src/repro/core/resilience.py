@@ -10,16 +10,16 @@ execution layer:
   backoff, resuming from the solver's last
   :class:`~repro.core.cg.CGCheckpoint` rather than iteration 0;
 * a :class:`~repro.exceptions.DeviceLostError` (the card is gone) triggers
-  *graceful degradation*: the operator's ``handle_device_loss`` hook
-  re-runs the feature-wise split over the surviving devices, re-uploads
-  the data slabs, and the solve resumes from the last checkpoint on the
-  shrunken device set.
+  *graceful degradation*: the ``handle_device_loss`` hook of the
+  operator's modeled devices re-runs the feature-wise split over the
+  surviving devices, re-uploads the data slabs, and the solve resumes
+  from the last checkpoint on the shrunken device set.
 
 Because the checkpoint captures the complete recurrence state, a recovered
-solve converges to the same solution an undisturbed solve produces (bit
-for bit when the surviving operator computes identical partial sums;
-within solver tolerance when the device set — and hence the partial-sum
-reduction order — changed).
+solve converges to the same solution an undisturbed solve produces, bit
+for bit when the surviving operator computes identical partial sums. The
+device backends' operator always does: their device split is modeled
+(:mod:`repro.backends.modeled`), never part of the arithmetic.
 
 All recovery activity is reported through the active
 :class:`repro.telemetry.TelemetryContext`: the familiar counters
@@ -56,16 +56,19 @@ DEFAULT_CHECKPOINT_INTERVAL = 10
 def _recover_device_loss(A, exc: DeviceLostError) -> None:
     """Redistribute work away from the device named in ``exc``.
 
-    Delegates to the operator's ``handle_device_loss`` hook; re-raises when
-    the operator has none (plain NumPy operators cannot lose devices — if
-    they raise ``DeviceLostError`` something is wired wrong) or the error
-    does not identify a device. Cascading losses — another device dying
-    *during* redistribution — are handled by recovering again, until the
-    operator reports that no devices remain.
+    Delegates to the ``handle_device_loss`` hook of the operator's
+    attached modeled devices (``A.cost``), or of the operator itself, which
+    returns how many devices took the work over; re-raises when there is
+    no hook (plain NumPy operators cannot lose devices — if they raise
+    ``DeviceLostError`` something is wired wrong) or the error does not
+    identify a device. Cascading losses — another device dying *during*
+    redistribution — are handled by recovering again, until no devices
+    remain.
     """
     ctx = current_context()
+    cost = getattr(A, "cost", None)
+    handler = getattr(A if cost is None else cost, "handle_device_loss", None)
     while True:
-        handler = getattr(A, "handle_device_loss", None)
         if handler is None or exc.device is None:
             raise exc
         ctx.inc("devices_lost")
@@ -75,20 +78,15 @@ def _recover_device_loss(A, exc: DeviceLostError) -> None:
             message=str(exc),
         )
         try:
-            handler(exc.device)
+            survivors = handler(exc.device)
         except DeviceLostError as cascade:
             if cascade.device is None or cascade.device is exc.device:
                 raise
             exc = cascade
             continue
         ctx.inc("redistributions")
-        ctx.record_fault_event("redistribution", survivors=_survivor_count(A))
+        ctx.record_fault_event("redistribution", survivors=survivors)
         return
-
-
-def _survivor_count(A) -> Optional[int]:
-    devices = getattr(A, "devices", None)
-    return len(devices) if devices is not None else None
 
 
 def resilient_solve(

@@ -2,12 +2,13 @@
 
 The paper's largest runs (2^16 points x 2^14 features on four A100s) cannot
 be executed functionally here — the data alone is 8 GiB — but their
-*simulated cost* can be computed exactly, because the device charging of
-:class:`repro.backends.device_qmatrix.DeviceQMatrix` is a deterministic
-function of the problem shape. This module replays the identical charge
-sequence against fresh :class:`SimulatedDevice` instances without touching
-any data. A property test pins the dry-run model to the functional path:
-for sizes small enough to run both, the device clocks agree exactly.
+*simulated cost* can be computed exactly, because the device charges of
+:class:`repro.backends.modeled.ModeledDevices` are a deterministic function
+of the problem shape. This module replays that same object against fresh
+:class:`SimulatedDevice` instances without touching any data: setup, one
+matvec's charges per CG iteration, the write-back. A property test pins
+the dry-run models to the functional path: for sizes small enough to run
+both, the device clocks agree exactly.
 
 Iteration counts are *inputs* to these models; the experiment runners
 measure them from real solver runs at feasible sizes and extrapolate only
@@ -20,13 +21,13 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Union
 
-from ..backends.kernels import (
-    KernelConfig,
-    matvec_costs,
-    q_vector_costs,
-    vector_ops_costs,
-)
-from ..parallel.partition import round_up
+import numpy as np
+
+from ..backends.kernels import KernelConfig
+from ..backends.modeled import ModeledDevices
+from ..parallel.mpi_sim import NetworkSpec
+from ..parallel.partition import chunk_ranges
+from ..simgpu.catalog import default_gpu
 from ..simgpu.device import SimulatedDevice
 from ..simgpu.spec import DeviceSpec
 from ..types import KernelType
@@ -58,9 +59,15 @@ class GpuRunModel:
         return self.memory_per_device_bytes / 1024**3
 
 
-def _split_features(num_features: int, n_devices: int) -> List[int]:
-    base, extra = divmod(num_features, n_devices)
-    return [base + (1 if i < extra else 0) for i in range(n_devices) if base + (1 if i < extra else 0) > 0]
+def _fresh_devices(spec: DeviceSpec, efficiency_key: str, count: int, include_init: bool):
+    devices = [SimulatedDevice(spec, efficiency_key, device_id=i) for i in range(count)]
+    if not include_init:
+        # Initialized up front with the clock zeroed: setup's initialize()
+        # is then a no-op and the context overhead stays out of the clock.
+        for device in devices:
+            device.initialize()
+            device.clock = 0.0
+    return devices
 
 
 def lssvm_device_memory_bytes(
@@ -72,19 +79,13 @@ def lssvm_device_memory_bytes(
 ) -> List[int]:
     """Per-device memory of an LS-SVM training run (the §IV-G numbers).
 
-    Matches :meth:`DeviceQMatrix.memory_per_device_gib`: the padded SoA
-    feature slice, the cached q vector, and the CG working set.
+    The buffers :class:`ModeledDevices` allocates per active device: the
+    padded SoA feature slice, the cached q vector, and the CG working set.
     """
-    config = config or KernelConfig()
-    n = num_points - 1
-    padded = round_up(n, config.tile) + config.tile
-    out = []
-    for local_d in _split_features(num_features, n_devices):
-        data = padded * local_d * _FP64_BYTES
-        q_vec = n * _FP64_BYTES
-        cg = 5 * n * _FP64_BYTES
-        out.append(data + q_vec + cg)
-    return out
+    devices = _fresh_devices(default_gpu(), "cuda", n_devices, True)
+    return ModeledDevices(
+        [devices], num_rows=num_points - 1, num_features=num_features, config=config
+    ).memory_bytes()
 
 
 def model_lssvm_gpu_run(
@@ -102,77 +103,34 @@ def model_lssvm_gpu_run(
 ) -> GpuRunModel:
     """Dry-run the PLSSVM device choreography and report modeled cost.
 
-    Replays exactly the charge sequence of ``DeviceQMatrix``: setup
-    (init, buffer allocation, data upload, q-vector kernel), ``iterations``
-    CG steps (implicit matvec + vector ops, plus per-iteration partial
-    result exchange under multi-GPU), and the final write-back.
+    Replays :class:`ModeledDevices` on one node: setup (init, buffer
+    allocation, data upload, q-vector kernel), ``iterations`` CG steps
+    (implicit matvec + vector ops, plus per-iteration partial result
+    exchange under multi-GPU), and the final write-back.
     ``precision="fp32"`` models the single precision template instantiation
     (half the bytes, the FP32 arithmetic pipeline).
     """
-    kernel = KernelType.from_name(kernel)
-    config = config or KernelConfig()
-    vb = 4 if precision == "fp32" else 8
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    n = num_points - 1
-    if n < 1:
+    if num_points < 2:
         raise ValueError("need at least two data points")
-    padded = round_up(n, config.tile) + config.tile
-    local_features = _split_features(num_features, n_devices)
-    multi = len(local_features) > 1
-
-    devices = [
-        SimulatedDevice(spec, efficiency_key, device_id=i)
-        for i in range(len(local_features))
-    ]
-    for device, local_d in zip(devices, local_features):
-        device.initialize()
-        if not include_init:
-            device.clock = 0.0
-        device.malloc("data", padded * local_d * vb)
-        device.malloc("q_vector", n * vb)
-        device.malloc("cg_vectors", 5 * n * vb)
-        device.copy_to_device(padded * local_d * vb)
-        if config.cache_q:
-            qc = q_vector_costs(n, local_d, kernel, config, value_bytes=vb)
-            device.launch(
-                "device_kernel_q",
-                flops=qc.flops,
-                global_bytes=qc.global_bytes,
-                shared_bytes=qc.shared_bytes,
-                grid_blocks=qc.grid_blocks,
-                block_threads=qc.block_threads,
-                precision=precision,
-            )
-        mc = matvec_costs(n, local_d, kernel, config, value_bytes=vb)
-        vc = vector_ops_costs(n, value_bytes=vb)
-        for _ in range(iterations):
-            device.launch(
-                "device_kernel_linear" if kernel is KernelType.LINEAR
-                else f"device_kernel_{kernel}",
-                flops=mc.flops,
-                global_bytes=mc.global_bytes,
-                shared_bytes=mc.shared_bytes,
-                grid_blocks=mc.grid_blocks,
-                block_threads=mc.block_threads,
-                precision=precision,
-            )
-            device.launch(
-                "device_kernel_vector_ops",
-                flops=vc.flops,
-                global_bytes=vc.global_bytes,
-                shared_bytes=vc.shared_bytes,
-                grid_blocks=vc.grid_blocks,
-                block_threads=vc.block_threads,
-                precision=precision,
-            )
-            if multi:
-                device.copy_from_device(n * vb)
-                device.copy_to_device(n * vb)
-        device.copy_from_device(n * vb)
-
+    if precision not in ("fp32", "fp64"):
+        raise ValueError(f"unknown precision {precision!r}")
+    devices = _fresh_devices(spec, efficiency_key, n_devices, include_init)
+    run = ModeledDevices(
+        [devices],
+        num_rows=num_points - 1,
+        num_features=num_features,
+        kernel=kernel,
+        dtype=np.float32 if precision == "fp32" else np.float64,
+        config=config,
+    )
+    run.setup()
+    for _ in range(iterations):
+        run.charge_matvec()
+    run.writeback()
     return GpuRunModel(
-        device_seconds=max(d.clock for d in devices),
+        device_seconds=run.device_time(),
         launches_per_device=devices[0].counters.launches,
         memory_per_device_bytes=devices[0].peak_allocated_bytes,
         flops_per_device=devices[0].counters.flops,
@@ -312,93 +270,36 @@ def model_multinode_run(
     network=None,
     include_init: bool = True,
 ) -> "MultiNodeRunModel":
-    """Dry-run the multi-node row-distributed CG (mirrors MultiNodeQMatrix).
+    """Dry-run the multi-node row-distributed CG (the linear kernel).
 
-    Replays the exact charge sequence of
-    :class:`repro.backends.multinode.MultiNodeQMatrix` — per-GPU GEMV
+    Replays the cluster scheme of :class:`ModeledDevices` — per-GPU GEMV
     launches and host transfers per iteration, plus the per-iteration
     ``d``-length allreduce across the nodes — without touching data, so
     cluster-scale sweeps (data sets larger than any single node's GPUs)
-    stay cheap. Only the largest row block's node is simulated: the nodes
-    are identical and the makespan node is the one with the most rows.
+    stay cheap.
     """
-    from ..parallel.mpi_sim import NetworkSpec, SimCommunicator
-    from ..parallel.partition import chunk_ranges, feature_split
-
-    network = network or NetworkSpec()
     n = num_points - 1
     if n < 1:
         raise ValueError("need at least two data points")
     row_blocks = [r for r in chunk_ranges(n, num_nodes) if len(r) > 0]
-    rows_k = len(row_blocks[0])  # chunk_ranges front-loads the remainder
-    feature_ranges = feature_split(num_features, gpus_per_node)
-
-    comm = SimCommunicator(len(row_blocks), network)
-    padded = round_up(rows_k, 64) + 64
-    devices = []
-    for frange in feature_ranges:
-        dev = SimulatedDevice(spec, "cuda")
-        dev.initialize()
-        if not include_init:
-            dev.clock = 0.0
-        d_g = len(frange)
-        dev.malloc("data", padded * d_g * _FP64_BYTES)
-        dev.malloc("vectors", 4 * max(rows_k, num_features) * _FP64_BYTES)
-        dev.copy_to_device(padded * d_g * _FP64_BYTES)
-        devices.append((dev, d_g))
-
-    dummy = [1.0] * len(row_blocks)
+    nodes = [_fresh_devices(spec, "cuda", gpus_per_node, include_init) for _ in row_blocks]
+    run = ModeledDevices(
+        nodes,
+        num_rows=n,
+        num_features=num_features,
+        row_blocks=row_blocks,
+        network=network or NetworkSpec(),
+    )
+    run.setup()
     for _ in range(iterations):
-        for dev, d_g in devices:
-            flops, gbytes = _gemv_model_cost(rows_k, d_g)
-            dev.launch(
-                "multinode_gemv_xt_v",
-                flops=flops,
-                global_bytes=gbytes,
-                grid_blocks=max(d_g // 256, 1),
-                block_threads=256,
-            )
-            dev.copy_from_device(d_g * _FP64_BYTES)
-        # One d-length allreduce per iteration across the nodes.
-        import numpy as _np
-
-        comm.allreduce_sum([_np.zeros(num_features) for _ in row_blocks])
-        for dev, d_g in devices:
-            dev.copy_to_device(d_g * _FP64_BYTES)
-            flops, gbytes = _gemv_model_cost(rows_k, d_g)
-            dev.launch(
-                "multinode_gemv_x_w",
-                flops=flops,
-                global_bytes=gbytes,
-                grid_blocks=max(rows_k // 256, 1),
-                block_threads=256,
-            )
-            vc = vector_ops_costs(max(rows_k, 1))
-            dev.launch(
-                "multinode_vector_ops",
-                flops=vc.flops,
-                global_bytes=vc.global_bytes,
-                shared_bytes=vc.shared_bytes,
-                grid_blocks=vc.grid_blocks,
-                block_threads=vc.block_threads,
-            )
-
-    gpu_time = max(dev.clock for dev, _ in devices)
+        run.charge_matvec()
     return MultiNodeRunModel(
-        device_seconds=gpu_time + comm.elapsed,
-        gpu_seconds=gpu_time,
-        communication_seconds=comm.elapsed,
-        memory_per_gpu_bytes=devices[0][0].peak_allocated_bytes,
+        device_seconds=run.device_time(),
+        gpu_seconds=run.gpu_time(),
+        communication_seconds=run.communication_time(),
+        memory_per_gpu_bytes=nodes[0][0].peak_allocated_bytes,
         num_nodes=len(row_blocks),
     )
-
-
-def _gemv_model_cost(rows: int, cols: int):
-    """(flops, global_bytes) of one dense GEMV — must mirror
-    :func:`repro.backends.multinode._gemv_cost` exactly (a test pins this)."""
-    flops = 2.0 * rows * cols
-    gbytes = (rows * cols + rows + cols) * _FP64_BYTES
-    return flops, gbytes
 
 
 @dataclasses.dataclass

@@ -105,10 +105,13 @@ class SimCommunicator:
         """Element-wise sum over ranks; every rank receives the result."""
         self._validate(partials)
         total = np.sum(np.stack([np.asarray(p, dtype=np.float64) for p in partials]), axis=0)
-        nbytes = total.nbytes
+        self.charge_allreduce(total.nbytes)
+        return [total.copy() for _ in range(self.num_ranks)]
+
+    def charge_allreduce(self, nbytes: float) -> None:
+        """Charge an allreduce of ``nbytes`` per rank without moving data."""
         self._charge_all(self._allreduce_time(nbytes), nbytes * (self.num_ranks - 1))
         self.counters["allreduce"] += 1
-        return [total.copy() for _ in range(self.num_ranks)]
 
     def broadcast(self, value: np.ndarray, root: int = 0) -> List[np.ndarray]:
         """Root's array delivered to every rank."""

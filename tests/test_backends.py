@@ -1,4 +1,4 @@
-"""Tests for the backend framework: registry, SoA layout, device Q matrix."""
+"""Tests for the backend framework: registry, SoA layout, modeled devices."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from repro.backends import (
     preferred_backend,
     transform_to_soa,
 )
-from repro.backends.device_qmatrix import DeviceQMatrix
 from repro.backends.kernels import matvec_costs, q_vector_costs, vector_ops_costs
+from repro.backends.modeled import attach_devices
 from repro.core.qmatrix import ImplicitQMatrix
 from repro.exceptions import BackendUnavailableError, DeviceError, KernelLaunchError
 from repro.parameter import Parameter
@@ -195,50 +195,57 @@ class TestKernelCostModel:
 
 
 class TestDeviceQMatrix:
+    """The host operator with modeled devices attached (the device backends' Q)."""
+
     def _devices(self, n):
         spec = get_device_spec("nvidia_a100")
         return [SimulatedDevice(spec, "cuda", device_id=i) for i in range(n)]
 
+    def _qmatrix(self, X, y, param, n):
+        q = ImplicitQMatrix(X, y, param)
+        attach_devices(q, [self._devices(n)])
+        return q
+
     def test_matches_reference_implicit(self, planes_small, linear_param):
         X, y = planes_small
         ref = ImplicitQMatrix(X, y, linear_param)
-        dev = DeviceQMatrix(X, y, linear_param, self._devices(1))
+        dev = self._qmatrix(X, y, linear_param, 1)
         v = np.linspace(-1, 1, X.shape[0] - 1)
         assert np.allclose(ref.matvec(v), dev.matvec(v), atol=1e-10)
 
     @pytest.mark.parametrize("n_devices", [2, 3, 4])
     def test_multi_device_equals_single(self, planes_small, linear_param, n_devices):
         X, y = planes_small
-        single = DeviceQMatrix(X, y, linear_param, self._devices(1))
-        multi = DeviceQMatrix(X, y, linear_param, self._devices(n_devices))
+        single = self._qmatrix(X, y, linear_param, 1)
+        multi = self._qmatrix(X, y, linear_param, n_devices)
         v = np.random.default_rng(0).standard_normal(X.shape[0] - 1)
         assert np.allclose(single.matvec(v), multi.matvec(v), atol=1e-9)
 
     def test_multi_device_rejects_nonlinear(self, planes_small, rbf_param):
         X, y = planes_small
         with pytest.raises(DeviceError, match="linear kernel"):
-            DeviceQMatrix(X, y, rbf_param, self._devices(2))
+            self._qmatrix(X, y, rbf_param, 2)
 
     def test_single_device_nonlinear_works(self, planes_small, rbf_param):
         X, y = planes_small
         ref = ImplicitQMatrix(X, y, rbf_param)
-        dev = DeviceQMatrix(X, y, rbf_param, self._devices(1))
+        dev = self._qmatrix(X, y, rbf_param, 1)
         v = np.ones(X.shape[0] - 1)
         assert np.allclose(ref.matvec(v), dev.matvec(v), atol=1e-10)
 
     def test_requires_a_device(self, planes_small, linear_param):
         X, y = planes_small
         with pytest.raises(DeviceError):
-            DeviceQMatrix(X, y, linear_param, [])
+            self._qmatrix(X, y, linear_param, 0)
 
     def test_memory_split_shrinks_per_device(self, linear_param):
         from repro.data.synthetic import make_planes
 
         X, y = make_planes(256, 64, rng=0)
-        single = DeviceQMatrix(X, y, linear_param, self._devices(1))
-        quad = DeviceQMatrix(X, y, linear_param, self._devices(4))
-        mem1 = single.memory_per_device_gib()[0]
-        mem4 = quad.memory_per_device_gib()[0]
+        single = self._qmatrix(X, y, linear_param, 1)
+        quad = self._qmatrix(X, y, linear_param, 4)
+        mem1 = single.cost.memory_per_device_gib()[0]
+        mem4 = quad.cost.memory_per_device_gib()[0]
         assert mem4 < mem1
         # Data dominates; the split should approach 4x (vectors are shared).
         assert mem1 / mem4 > 2.0
@@ -247,25 +254,77 @@ class TestDeviceQMatrix:
         from repro.data.synthetic import make_planes
 
         X, y = make_planes(32, 2, rng=1)
-        q = DeviceQMatrix(X, y, linear_param, self._devices(4))
-        assert len(q.active_devices) == 2
+        q = self._qmatrix(X, y, linear_param, 4)
+        assert len(q.cost.active) == 2
         v = np.ones(31)
         assert np.isfinite(q.matvec(v)).all()
 
     def test_launch_accounting_per_iteration(self, planes_small, linear_param):
         X, y = planes_small
-        q = DeviceQMatrix(X, y, linear_param, self._devices(1))
-        before = q.total_device_launches()
+        q = self._qmatrix(X, y, linear_param, 1)
+        before = q.cost.total_device_launches()
         q.matvec(np.ones(X.shape[0] - 1))
         # One matvec kernel + one vector-ops kernel per CG step.
-        assert q.total_device_launches() == before + 2
+        assert q.cost.total_device_launches() == before + 2
 
     def test_device_time_advances(self, planes_small, linear_param):
         X, y = planes_small
-        q = DeviceQMatrix(X, y, linear_param, self._devices(1))
-        t0 = q.device_time()
+        q = self._qmatrix(X, y, linear_param, 1)
+        t0 = q.cost.device_time()
         q.matvec(np.ones(X.shape[0] - 1))
-        assert q.device_time() > t0
+        assert q.cost.device_time() > t0
+
+    def test_block_matvec_charges_one_matvec_per_column(self, planes_small, linear_param):
+        X, y = planes_small
+        q = self._qmatrix(X, y, linear_param, 2)
+        before = q.cost.total_device_launches()
+        q.matvec_multi(np.ones((X.shape[0] - 1, 3)))
+        # Two devices, two kernels each, three right-hand sides.
+        assert q.cost.total_device_launches() == before + 2 * 2 * 3
+
+
+class TestDeviceSetChangesNoValue:
+    """The feature split changes modeled time and memory, never a value."""
+
+    @pytest.fixture(scope="class")
+    def planes(self):
+        from repro.data.synthetic import make_planes
+
+        return make_planes(512, 256, rng=4)
+
+    def _fit(self, X, y, **kwargs):
+        from repro import LSSVC
+
+        return LSSVC(kernel="linear", epsilon=1e-8, **kwargs).fit(X, y)
+
+    def test_cuda_device_counts_match_the_implicit_fit(self, planes):
+        X, y = planes
+        ref = self._fit(X, y, implicit=True)
+        for k in (1, 2, 3, 4):
+            clf = self._fit(X, y, backend="cuda", n_devices=k)
+            assert clf.iterations_ == ref.iterations_
+            assert np.array_equal(clf.model_.alpha, ref.model_.alpha), k
+
+    def test_heterogeneous_splits_match_the_implicit_fit(self, planes):
+        from repro.backends.heterogeneous import HeterogeneousCSVM
+
+        X, y = planes
+        ref = self._fit(X, y, implicit=True)
+        for balanced in (False, True):
+            backend = HeterogeneousCSVM(["nvidia_a100", "nvidia_v100"], balanced=balanced)
+            clf = self._fit(X, y, backend=backend)
+            assert np.array_equal(clf.model_.alpha, ref.model_.alpha), balanced
+
+    def test_multinode_matches_the_sharded_fit(self, planes):
+        from repro.backends.multinode import MultiNodeCSVM
+        from repro.parameter import ResourceConfig
+
+        X, y = planes
+        ref = self._fit(X, y, resources=ResourceConfig(shard_rows=2))
+        for gpus in (1, 2):
+            backend = MultiNodeCSVM(num_nodes=2, gpus_per_node=gpus)
+            clf = self._fit(X, y, backend=backend)
+            assert np.array_equal(clf.model_.alpha, ref.model_.alpha), gpus
 
 
 class TestOpenMPBackend:

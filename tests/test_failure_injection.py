@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro import LSSVC
-from repro.backends.device_qmatrix import DeviceQMatrix
+from repro.backends.modeled import attach_devices
 from repro.core.cg import conjugate_gradient
+from repro.core.qmatrix import ImplicitQMatrix
 from repro.core.tile_pipeline import TilePipeline
 from repro.data.synthetic import make_planes
 from repro.exceptions import (
@@ -46,12 +47,18 @@ def _tiny_memory_device(memory_gib: float) -> SimulatedDevice:
     return SimulatedDevice(spec, "cuda")
 
 
+def _device_qmatrix(X, y, devices) -> ImplicitQMatrix:
+    q = ImplicitQMatrix(X, y, Parameter(kernel="linear"))
+    attach_devices(q, [devices])
+    return q
+
+
 class TestDeviceMemoryExhaustion:
     def test_training_data_larger_than_device_raises(self):
         X, y = make_planes(512, 64, rng=0)  # ~260 KB of data
         device = _tiny_memory_device(memory_gib=1e-4)  # ~105 KB device
         with pytest.raises(DeviceMemoryError, match="exceeds"):
-            DeviceQMatrix(X, y, Parameter(kernel="linear"), [device])
+            _device_qmatrix(X, y, [device])
 
     def test_error_message_names_buffer_and_capacity(self):
         device = _tiny_memory_device(memory_gib=1e-6)
@@ -71,9 +78,9 @@ class TestDeviceMemoryExhaustion:
         X, y = make_planes(512, 64, rng=0)
         single = _tiny_memory_device(memory_gib=2.6e-4)
         with pytest.raises(DeviceMemoryError):
-            DeviceQMatrix(X, y, Parameter(kernel="linear"), [single])
+            _device_qmatrix(X, y, [single])
         quad = [_tiny_memory_device(memory_gib=2.6e-4) for _ in range(4)]
-        q = DeviceQMatrix(X, y, Parameter(kernel="linear"), quad)
+        q = _device_qmatrix(X, y, quad)
         assert np.isfinite(q.matvec(np.ones(511))).all()
 
 

@@ -45,6 +45,40 @@ class TestLabelEncoding:
             encode_labels(np.array([]))
 
 
+class TestNonFiniteLabels:
+    """Labels fail fast: a NaN or inf label is never a class."""
+
+    @pytest.fixture
+    def data(self):
+        X = np.random.default_rng(0).standard_normal((8, 3))
+        return X, np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+    def test_first_seen_order_is_kept(self):
+        _, labels = encode_labels(np.array([7.0, 5.0, 7.0, 5.0]))
+        assert labels == (7.0, 5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_labels_rejects(self, bad):
+        with pytest.raises(DataError, match="NaN or infinite"):
+            encode_labels(np.array([1.0, 1.0, 1.0, bad, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_estimators_reject(self, data, bad):
+        from repro.core.multiclass import OneVsAllLSSVC
+        from repro.core.weighted import WeightedLSSVC
+
+        X, y = data
+        y[3] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            LSSVC(kernel="linear").fit(X, y)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            LSSVC(kernel="linear").partial_fit(X, y)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            WeightedLSSVC(kernel="linear").fit(X, y)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            OneVsAllLSSVC(kernel="linear").fit(X, y)
+
+
 class TestFitPredict:
     def test_separable_problem_reaches_high_accuracy(self):
         X, y = make_planes(256, 16, class_sep=2.5, flip_fraction=0.0, rng=0)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro import LSSVC
-from repro.backends.multinode import MultiNodeCSVM, MultiNodeQMatrix
+from repro.backends.modeled import attach_devices
+from repro.backends.multinode import MultiNodeCSVM
 from repro.data import make_planes
 from repro.exceptions import DataError, DeviceError
 from repro.experiments.analytic import model_multinode_run
 from repro.parallel.mpi_sim import NetworkSpec, SimCommunicator
 from repro.parameter import Parameter
 from repro.simgpu.catalog import default_gpu
+from repro.simgpu.device import SimulatedDevice
 
 
 class TestNetworkSpec:
@@ -97,13 +99,29 @@ class TestSimCommunicator:
             SimCommunicator(0)
 
 
+def _cluster(X, y, param, *, num_nodes, gpus_per_node, tile_rows=1024):
+    """The host operator sharded one row block per node, cluster attached."""
+    from repro.core.qmatrix import ImplicitQMatrix
+
+    qmat = ImplicitQMatrix(X, y, param, num_shards=num_nodes, tile_rows=tile_rows)
+    nodes = [
+        [
+            SimulatedDevice(default_gpu(), "cuda", device_id=k * 100 + g)
+            for g in range(gpus_per_node)
+        ]
+        for k in range(qmat.num_shards)
+    ]
+    attach_devices(qmat, nodes, network=NetworkSpec())
+    return qmat
+
+
 class TestMultiNodeQMatrix:
     def test_matches_reference_operator(self, planes_medium, linear_param):
         from repro.core.qmatrix import ImplicitQMatrix
 
         X, y = planes_medium
         ref = ImplicitQMatrix(X, y, linear_param)
-        dist = MultiNodeQMatrix(X, y, linear_param, num_nodes=3, gpus_per_node=2)
+        dist = _cluster(X, y, linear_param, num_nodes=3, gpus_per_node=2)
         v = np.random.default_rng(0).standard_normal(X.shape[0] - 1)
         assert np.allclose(ref.matvec(v), dist.matvec(v), atol=1e-9)
 
@@ -112,37 +130,52 @@ class TestMultiNodeQMatrix:
 
         X, y = planes_small
         ref = ImplicitQMatrix(X, y, rbf_param)
-        dist = MultiNodeQMatrix(
-            X, y, rbf_param, num_nodes=3, gpus_per_node=2, tile_rows=7
-        )
+        dist = _cluster(X, y, rbf_param, num_nodes=3, gpus_per_node=2, tile_rows=7)
         v = np.random.default_rng(1).standard_normal(X.shape[0] - 1)
         assert np.allclose(ref.matvec(v), dist.matvec(v), atol=1e-9)
         # The overlapping sample-shard partials combine via allreduce and
         # foreign tiles are charged as inter-node traffic.
-        assert dist.comm.counters["allreduce"] == 1
-        assert dist.comm.bytes_moved > 0
+        assert dist.cost.comm.counters["allreduce"] == 1
+        assert dist.cost.comm.bytes_moved > 0
 
     def test_more_nodes_than_points_shrinks_cluster(self, linear_param):
         X, y = make_planes(10, 4, rng=0)
-        q = MultiNodeQMatrix(X, y, linear_param, num_nodes=32, gpus_per_node=1)
-        assert q.num_nodes <= 9  # at most m-1 non-empty row blocks
+        q = MultiNodeCSVM(num_nodes=32, gpus_per_node=1).create_qmatrix(X, y, linear_param)
+        assert len(q.cost.nodes) <= 9  # at most m-1 non-empty row blocks
 
     def test_communication_per_iteration(self, planes_small, linear_param):
         X, y = planes_small
-        q = MultiNodeQMatrix(X, y, linear_param, num_nodes=4, gpus_per_node=1)
+        q = _cluster(X, y, linear_param, num_nodes=4, gpus_per_node=1)
         q.matvec(np.ones(X.shape[0] - 1))
         q.matvec(np.ones(X.shape[0] - 1))
-        assert q.comm.counters["allreduce"] == 2
+        assert q.cost.comm.counters["allreduce"] == 2
 
     def test_validation(self, planes_small, linear_param):
         X, y = planes_small
         with pytest.raises(DeviceError):
-            MultiNodeQMatrix(X, y, linear_param, num_nodes=0, gpus_per_node=1)
+            MultiNodeCSVM(num_nodes=0, gpus_per_node=1).create_qmatrix(X, y, linear_param)
         with pytest.raises(DeviceError):
-            MultiNodeQMatrix(
-                X, y, linear_param, num_nodes=1, gpus_per_node=1,
-                device="amd_radeon_vii",
-            )
+            MultiNodeCSVM(
+                num_nodes=1, gpus_per_node=1, device="amd_radeon_vii",
+            ).create_qmatrix(X, y, linear_param)
+
+    def test_float32_charges_half_the_bytes(self):
+        X, y = make_planes(512, 64, rng=1)
+        per_iteration_copy, gemv_bytes = {}, {}
+        for dtype in (np.float64, np.float32):
+            backend = MultiNodeCSVM(num_nodes=2, gpus_per_node=2)
+            clf = LSSVC(kernel="linear", backend=backend, dtype=dtype).fit(X, y)
+            gpu = backend.last_run().nodes[0][0]
+            per_iteration_copy[dtype] = gpu.counters.bytes_from_device / clf.iterations_
+            gemv_bytes[dtype] = [
+                launch.global_bytes for launch in gpu.launch_log[:3]
+                if launch.name.startswith("multinode_gemv")
+            ]
+        # The GPU's 32 features of the d-length partial, 8 bytes each.
+        assert per_iteration_copy[np.float64] == 256
+        assert per_iteration_copy[np.float32] == per_iteration_copy[np.float64] / 2
+        assert len(gemv_bytes[np.float64]) == 2
+        assert gemv_bytes[np.float32] == [b / 2 for b in gemv_bytes[np.float64]]
 
 
 class TestMultiNodeBackend:

@@ -12,8 +12,9 @@ import pytest
 
 from repro import LSSVC, CGCheckpoint, conjugate_gradient, conjugate_gradient_block
 from repro.backends import create_backend
-from repro.backends.device_qmatrix import DeviceQMatrix
-from repro.backends.multinode import MultiNodeQMatrix
+from repro.backends.modeled import attach_devices
+from repro.backends.multinode import MultiNodeCSVM
+from repro.core.qmatrix import ImplicitQMatrix
 from repro.core.resilience import resilient_solve
 from repro.data.synthetic import make_planes
 from repro.exceptions import (
@@ -420,25 +421,27 @@ class TestDeviceFailover:
     def _qmatrix(self, num_devices=4):
         X, y = make_planes(128, 16, rng=0)
         devices = [_device(i) for i in range(num_devices)]
-        return DeviceQMatrix(X, y, Parameter(kernel="linear"), devices), devices
+        qmat = ImplicitQMatrix(X, y, Parameter(kernel="linear"))
+        attach_devices(qmat, [devices])
+        return qmat, devices
 
     def test_redistribution_preserves_the_operator(self):
         qmat, devices = self._qmatrix(num_devices=4)
         v = np.random.default_rng(0).standard_normal(qmat.shape[0])
         reference = qmat.matvec(v)
         clocks_before = [d.clock for d in devices if d is not devices[2]]
-        qmat.handle_device_loss(devices[2])
-        assert len(qmat.active_devices) == 3
-        assert devices[2] not in qmat.active_devices
+        assert qmat.cost.handle_device_loss(devices[2]) == 3
+        assert len(qmat.cost.active) == 3
+        assert devices[2] not in qmat.cost.active
         # Survivors paid the modeled recovery cost and re-uploaded slabs.
-        for dev, before in zip(qmat.active_devices, clocks_before):
+        for dev, before in zip(qmat.cost.active, clocks_before):
             assert dev.clock > before
         np.testing.assert_allclose(qmat.matvec(v), reference, rtol=1e-12)
 
     def test_losing_the_last_device_is_unrecoverable(self):
         qmat, devices = self._qmatrix(num_devices=1)
         with pytest.raises(DeviceLostError) as excinfo:
-            qmat.handle_device_loss(devices[0])
+            qmat.cost.handle_device_loss(devices[0])
         assert excinfo.value.device is None
 
     def test_training_survives_mid_solve_device_loss(self):
@@ -463,6 +466,15 @@ class TestDeviceFailover:
             clf.model_.alpha, baseline.model_.alpha, rtol=1e-6, atol=1e-9
         )
         assert clf.score(X, y) == baseline.score(X, y)
+
+    def test_redistribution_reports_the_survivors(self):
+        X, y = make_planes(256, 16, rng=0)
+        clf = LSSVC(
+            kernel="linear", backend="cuda", n_devices=4,
+            fault_plan=parse_fault_plan("lost@2:launch:9"), checkpoint_interval=5,
+        ).fit(X, y)
+        events = [e for e in clf.report_.events if e["kind"] == "redistribution"]
+        assert [e["survivors"] for e in events] == [3]
 
     def test_training_survives_transient_faults(self):
         X, y = make_planes(128, 8, rng=1)
@@ -496,38 +508,47 @@ class TestDeviceFailover:
 class TestMultiNodeFailover:
     def _qmatrix(self, num_nodes=2, gpus_per_node=2):
         X, y = make_planes(96, 8, rng=2)
-        return MultiNodeQMatrix(
-            X, y, Parameter(kernel="linear"),
-            num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-        )
+        backend = MultiNodeCSVM(num_nodes=num_nodes, gpus_per_node=gpus_per_node)
+        return backend.create_qmatrix(X, y, Parameter(kernel="linear"))
 
     def test_intra_node_redistribution_preserves_the_operator(self):
         qmat = self._qmatrix()
         v = np.random.default_rng(3).standard_normal(qmat.shape[0])
         reference = qmat.matvec(v)
-        lost = qmat.nodes[0][0]
-        qmat.handle_device_loss(lost)
-        assert len(qmat.nodes[0]) == 1
-        assert len(qmat.nodes[1]) == 2  # the sibling node is untouched
+        lost = qmat.cost.nodes[0][0]
+        assert qmat.cost.handle_device_loss(lost) == 1
+        assert len(qmat.cost.nodes[0]) == 1
+        assert len(qmat.cost.nodes[1]) == 2  # the sibling node is untouched
         np.testing.assert_allclose(qmat.matvec(v), reference, rtol=1e-12)
+
+    def test_redistribution_reports_the_node_survivors(self):
+        X, y = make_planes(256, 16, rng=0)
+        # GPU 1 of node 0 dies on its 10th launch, mid-solve.
+        backend = MultiNodeCSVM(
+            num_nodes=2, gpus_per_node=2, fault_plan=parse_fault_plan("lost@1:launch:9")
+        )
+        clf = LSSVC(kernel="linear", backend=backend, checkpoint_interval=5).fit(X, y)
+        events = [e for e in clf.report_.events if e["kind"] == "redistribution"]
+        assert [e["survivors"] for e in events] == [1]
+        assert [len(node) for node in backend.last_run().nodes] == [1, 2]
 
     def test_node_losing_last_gpu_is_unrecoverable(self):
         qmat = self._qmatrix(gpus_per_node=1)
         with pytest.raises(DeviceLostError) as excinfo:
-            qmat.handle_device_loss(qmat.nodes[0][0])
+            qmat.cost.handle_device_loss(qmat.cost.nodes[0][0])
         assert excinfo.value.device is None
 
     def test_foreign_device_rejected(self):
         qmat = self._qmatrix()
         with pytest.raises(DeviceError, match="does not belong"):
-            qmat.handle_device_loss(_device(99))
+            qmat.cost.handle_device_loss(_device(99))
 
     def test_reporting_guards_against_empty_nodes(self):
         qmat = self._qmatrix()
-        qmat.device_time()  # healthy cluster reports fine
-        qmat.memory_per_gpu_gib()
-        qmat.nodes[0] = []
+        qmat.cost.device_time()  # healthy cluster reports fine
+        qmat.cost.memory_per_gpu_gib()
+        qmat.cost.nodes[0] = []
         with pytest.raises(DataError, match="device time"):
-            qmat.device_time()
+            qmat.cost.device_time()
         with pytest.raises(DataError, match="memory"):
-            qmat.memory_per_gpu_gib()
+            qmat.cost.memory_per_gpu_gib()
