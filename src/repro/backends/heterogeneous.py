@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.qmatrix import ImplicitQMatrix
 from ..exceptions import BackendUnavailableError, DeviceError
-from ..parallel.partition import weighted_feature_split
+from ..parallel.partition import weighted_device_slices
 from ..parameter import Parameter
 from ..simgpu.catalog import get_device_spec
 from ..simgpu.device import SimulatedDevice
@@ -103,7 +103,7 @@ class HeterogeneousCSVM(ModeledBackend, CSVM):
         qmat = ImplicitQMatrix(X, y, param)
         ranges = None  # the equal split
         if self.balanced and len(self.devices) > 1:
-            ranges = weighted_feature_split(qmat.X.shape[1], self.throughputs())
+            ranges = weighted_device_slices(qmat.X.shape[1], self.throughputs())
         return self._attach(qmat, [self.devices], config=self.config, feature_ranges=ranges)
 
     def imbalance(self) -> float:

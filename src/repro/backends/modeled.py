@@ -107,9 +107,10 @@ class ModeledDevices:
     config:
         Blocked-kernel tuning knobs, which price the single-node kernels.
     feature_ranges:
-        Explicit feature slices of a single node's devices (the
-        heterogeneous backend's throughput-weighted split); by default
-        the features are split equally.
+        Explicit feature slices of a single node's devices, slice ``i``
+        for device ``i`` (the heterogeneous backend's throughput-weighted
+        split); a device with an empty slice stays idle. By default the
+        features are split equally.
     row_blocks:
         The rows each node owns (the operator's row shards); by default
         one node owns every row.
@@ -175,8 +176,10 @@ class ModeledDevices:
                     raise DeviceError("feature_ranges must cover every feature exactly once")
                 if len(slices) > len(node):
                     raise DeviceError("more feature slices than devices")
-            self.nodes.append(list(node[: len(slices)]))
-            self.slices.append(slices)
+            # Each slice stays with its own device; empty ones leave it idle.
+            held = [(dev, sl) for dev, sl in zip(node, slices) if len(sl) > 0]
+            self.nodes.append([dev for dev, _ in held])
+            self.slices.append([sl for _, sl in held])
 
     # -- layout ---------------------------------------------------------------
 
@@ -292,18 +295,16 @@ class ModeledDevices:
 
     def _charge_tiles(self) -> None:
         n, d, vb = self.num_rows, self.num_features, self.value_bytes
+        tiles = [(t, min(t + self.tile_rows, n)) for t in range(0, n, self.tile_rows)]
+        if self.comm.num_ranks > 1:
+            # Every node sweeps every row tile: each tile's points leave
+            # their owner once, to all other nodes.
+            for tstart, tstop in tiles:
+                owner = next(k for k, block in enumerate(self.row_blocks) if tstart < block.stop)
+                self.comm.charge_broadcast((tstop - tstart) * d * vb, root=owner)
         for rows, node, slices in zip(self.row_blocks, self.nodes, self.slices):
-            for tstart in range(0, n, self.tile_rows):
-                tstop = min(tstart + self.tile_rows, n)
+            for tstart, tstop in tiles:
                 trows = tstop - tstart
-                owned = rows.start <= tstart and tstop <= rows.stop
-                if not owned and self.comm.num_ranks > 1:
-                    # A foreign tile reaches the node over the fabric.
-                    owner = next(
-                        k for k, block in enumerate(self.row_blocks) if tstart < block.stop
-                    )
-                    self.comm.broadcast(np.empty(0), root=owner)
-                    self.comm.bytes_moved += trows * d * vb
                 for device, sl in zip(node, slices):
                     # Feature-sliced distance/inner-product partials; the
                     # kernel function itself is O(trows * |rows|).

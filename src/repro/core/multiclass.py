@@ -451,7 +451,7 @@ class OneVsAllLSSVC(_MulticlassBase):
             pipeline = None
             W = np.column_stack([mod.weight_vector() for mod in models])
         else:
-            from .tile_pipeline import TilePipeline
+            from .tile_pipeline import TilePipeline, _prediction_tile_rows
 
             W = None
             pipeline = TilePipeline(
@@ -460,6 +460,7 @@ class OneVsAllLSSVC(_MulticlassBase):
                 gamma=param.gamma,
                 degree=param.degree,
                 coef0=param.coef0,
+                tile_rows=_prediction_tile_rows(len(sv), param.dtype),
                 num_threads=self.solver_threads,
                 cache_mb=0.0,
                 dtype=param.dtype,

@@ -485,9 +485,10 @@ class ImplicitQMatrix(QMatrixBase):
 
     * a dense array — the linear kernel is the Gram product
       ``X_bar @ (X_bar.T @ V)``; the non-linear kernels sweep the shared
-      :class:`repro.core.tile_pipeline.TilePipeline` (threaded tiles,
-      precomputed RBF row norms, a byte-budgeted cross-iteration tile
-      cache, so CG iterations after the first can replay cached tiles);
+      :class:`repro.core.tile_pipeline.TilePipeline` (the upper triangle of
+      cache-sized square tiles over threaded lanes, precomputed RBF row
+      norms, a byte-budgeted cross-iteration tile cache, so CG iterations
+      after the first can replay cached tiles);
     * a :class:`repro.sparse.CSRMatrix` (linear kernel only) — the same
       Gram product on the CSR structure, O(nnz) per matvec: the paper's
       "sparse data structures for the CG solver" next step (§V);
@@ -506,9 +507,11 @@ class ImplicitQMatrix(QMatrixBase):
     Parameters
     ----------
     tile_rows:
-        Row-tile height for the non-linear kernels; bounds peak memory at
-        ``tile_rows * (m-1)`` kernel entries per matvec (per worker), or
-        ``tile_rows²`` under a partition.
+        Caps the square tile edge of the non-linear kernels' sweep, which
+        is otherwise sized to one cache-resident tile
+        (:data:`repro.core.tile_pipeline.TILE_BYTES`, 512 in float64);
+        peak memory is ``edge²`` kernel entries per worker. The modeled
+        devices' cluster sweep prices row tiles of this height.
     solver_threads:
         Worker threads for the tile sweep; ``None`` resolves like an
         OpenMP runtime (``PLSSVM_NUM_THREADS`` / CPU count), ``1`` is

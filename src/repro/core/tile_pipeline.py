@@ -2,36 +2,48 @@
 
 The implicit matvec of §III-B is the solver's hot loop: every CG iteration
 re-evaluates the whole kernel matrix tile by tile. This module amortizes
-that work along three axes (the multi-RHS batching of Tyree et al.,
+that work along four axes (the multi-RHS batching of Tyree et al.,
 *Parallel Support Vector Machines in Practice*, and the cache-centric
 recipe of Glasmachers, *A Recipe for Fast Large-scale SVM Training*):
 
-* **across right-hand sides** — :meth:`TilePipeline.sweep` accepts a whole
-  matrix ``V`` of vectors, turning the per-tile GEMV into a GEMM, so block
-  CG pays one tile sweep per iteration however many systems it carries;
-* **across threads** — row tiles are independent, and the work inside each
-  (a BLAS product plus vectorized transcendentals) releases the GIL, so
-  tiles are fanned out over :class:`repro.parallel.ThreadPool` workers;
+* **across cache levels and symmetry** — like the paper's blocked kernels
+  (§III-C1), :meth:`TilePipeline.sweep` walks only the upper triangle of
+  square ``edge × edge`` tiles, with ``edge`` sized so one tile fits
+  :data:`TILE_BYTES` (about a per-core L2; 512 in float64). Every
+  elementwise pass of a tile then runs from cache, and each off-diagonal
+  tile is applied twice while it is there, as ``K_IJ @ V_J`` and
+  ``K_IJᵀ @ V_I`` — half the kernel evaluations of a full sweep;
+* **across right-hand sides** — a sweep accepts a whole matrix ``V`` of
+  vectors, turning the per-tile GEMV into a GEMM, so block CG pays one
+  tile sweep per iteration however many systems it carries;
+* **across threads** — the tiles are split into a fixed number of lanes
+  that the :class:`repro.parallel.ThreadPool` workers run concurrently
+  (a BLAS product plus vectorized transcendentals per tile, all releasing
+  the GIL). Each lane sums its products into its own partial output and
+  the partials are folded in a fixed order through
+  :func:`repro.parallel.reduction.sum_partials`, so a seeded sweep is
+  bit-identical for every worker count;
 * **across iterations** — a byte-budgeted LRU :class:`TileCache` (modeled
   on :class:`repro.smo.kernel_cache.KernelCache`) keeps computed tiles, so
-  every sweep after the first replays cached GEMMs instead of recomputing
-  kernels. Caching defaults *off* above the byte budget: a sequential
-  sweep over a working set larger than the cache evicts every tile before
-  its reuse, so a too-small cache is pure overhead.
+  every sweep after the first replays cached products instead of
+  recomputing kernels. Caching defaults *off* when the triangle's tiles
+  exceed the byte budget: a sequential sweep over a working set larger
+  than the cache evicts every tile before its reuse, so a too-small cache
+  is pure overhead.
 
 The radial kernel's ``||x||²`` row norms are precomputed once per pipeline
 and sliced per tile (§III-C2's caching idea applied host-side) instead of
 being recomputed for every tile of every sweep.
 
 The point set may be an in-memory array or a row source
-(:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``), and the
-columns may be split into sample shards, following Tyree et al.'s
-row-partitioned scheme: shard ``J`` owns the columns ``J`` and the slice
-``V[J]``, streams every row tile against its columns in ``tile_rows``-wide
-blocks, and produces a full-length partial ``K[:, J] @ V[J]``; the partials
-are combined with the deterministic allreduce of
-:mod:`repro.parallel.reduction`, folded in bounded groups. A row source is
-read block by block, so peak memory stays a few tiles plus O(m) vectors.
+(:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``, read one
+tile's rows at a time), and the columns may be split into sample shards,
+following Tyree et al.'s row-partitioned scheme: shard ``J`` owns the
+columns ``J`` and the slice ``V[J]``, streams every row tile against its
+columns in ``edge``-wide blocks, and produces a full-length partial
+``K[:, J] @ V[J]``; the partials are combined with the deterministic
+allreduce of :mod:`repro.parallel.reduction`, folded in bounded groups.
+Peak memory stays a few tiles plus O(m) vectors either way.
 
 A ``compute_dtype`` knob adds mixed precision (Glasmachers' observation
 that reduced-precision kernel storage is the cheapest way to double
@@ -47,6 +59,8 @@ the process-wide aggregate keeps benchmarks honest without plumbing.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
@@ -55,34 +69,42 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..membudget import active_memory_budget
-from ..parallel.partition import BlockRange
+from ..parallel.partition import chunk_ranges, tile_grid
 from ..parallel.reduction import sum_partials
 from ..parallel.thread_pool import shared_pool
 from ..telemetry.context import current_context
 from ..types import KernelType
 from .kernels import kernel_matrix, squared_row_norms, validate_kernel_params
 
-__all__ = ["TileCache", "TilePipeline", "DEFAULT_TILE_CACHE_MB"]
+__all__ = ["TileCache", "TilePipeline", "DEFAULT_TILE_CACHE_MB", "TILE_BYTES"]
 
-#: Default byte budget of the cross-iteration tile cache (in MiB). Chosen so
-#: problems up to ~5800 points cache fully in float64; larger problems fall
-#: back to recompute-per-sweep exactly like the paper's GPU kernels.
+#: Default byte budget of the cross-iteration tile cache (in MiB). Only the
+#: upper triangle of tiles is kept, so problems up to ~7900 points cache
+#: fully in float64; larger problems fall back to recompute-per-sweep
+#: exactly like the paper's GPU kernels.
 DEFAULT_TILE_CACHE_MB = 256.0
+
+#: Byte budget of one kernel tile, about a per-core L2 cache: a tile's
+#: elementwise passes (distance assembly, clip, scale, exp, cast) and its
+#: products run from cache instead of streaming from DRAM. It sets the
+#: sweep's square tile edge (512 in float64) and the height of a
+#: prediction query tile (32 rows against 8192 support vectors).
+TILE_BYTES = 2 * 1024 * 1024
+
+#: A triangular sweep splits its tiles into this many lanes, each summing
+#: into its own partial output. The count is fixed, not the worker count,
+#: so the fold order (and every result bit) is the same on any pool.
+_SWEEP_LANES = 8
 
 #: A sharded sweep folds its partial outputs through the allreduce once
 #: this many accumulate, bounding the combine step at that many vectors.
 _FOLD_PARTIALS = 8
 
-#: Prediction keeps one query tile (kernel rows against the support set)
-#: under this many bytes, and under 1024 rows.
-_PREDICT_TILE_BYTES = 64 * 1024 * 1024
-_PREDICT_TILE_ROWS = 1024
-
 
 def _prediction_tile_rows(num_points: int, dtype) -> int:
     """Query-tile height of a prediction cross sweep over ``num_points`` points."""
     per_row = max(1, num_points) * np.dtype(dtype).itemsize
-    return max(1, min(_PREDICT_TILE_ROWS, _PREDICT_TILE_BYTES // per_row))
+    return max(1, min(1024, TILE_BYTES // per_row))
 
 
 class TileCache:
@@ -214,18 +236,20 @@ class TilePipeline:
     kernel, gamma, degree, coef0:
         Kernel selection and coefficients (gamma must already be resolved).
     tile_rows:
-        Row-tile height; bounds uncached peak memory at
-        ``tile_rows * len(points)`` entries per worker (``tile_rows²`` when
-        the columns are sharded).
+        Caps the square tile edge, which is otherwise the largest that
+        keeps one tile within :data:`TILE_BYTES`; uncached peak memory is
+        ``edge²`` kernel entries per worker plus a fixed number of
+        ``len(points) × k`` partial outputs.
     num_threads:
         Worker count of the shared pool to attach to; ``None`` resolves
         like an OpenMP runtime (``PLSSVM_NUM_THREADS`` / CPU count).
     cache_mb:
         Byte budget (MiB) of the cross-iteration tile cache. ``0`` disables
         caching; ``None`` uses :data:`DEFAULT_TILE_CACHE_MB`, clamped to a
-        quarter of an active memory budget. When the full tile working set
-        exceeds the budget the cache also stays off (see module docstring)
-        unless ``force_cache=True`` opts into partial LRU caching anyway.
+        quarter of an active memory budget. When the sweep's tiles (the
+        upper triangle, or every shard's blocks) exceed the budget the
+        cache also stays off (see module docstring) unless
+        ``force_cache=True`` opts into partial LRU caching anyway.
     dtype:
         Element type of the sweep *results* (the CG working precision).
     compute_dtype:
@@ -237,9 +261,8 @@ class TilePipeline:
         test keep their precision. ``None`` keeps tiles in ``dtype``.
     shards:
         Sample shards of the columns, as :class:`repro.parallel.BlockRange`
-        index ranges (see module docstring). ``None`` evaluates full-width
-        row tiles of an array, or one shard over every point of a row
-        source.
+        index ranges (see module docstring). ``None`` sweeps the upper
+        triangle of tiles over every point.
     """
 
     def __init__(
@@ -282,8 +305,6 @@ class TilePipeline:
             # Streamed: rows are read (and cast) per tile, never held whole.
             self.points = points
             self._points_c = None
-            if shards is None:
-                shards = [BlockRange(0, int(points.num_rows))]
         else:
             self.points = np.ascontiguousarray(points, dtype=dtype)
             if self.points.ndim != 2:
@@ -298,19 +319,22 @@ class TilePipeline:
                 else np.ascontiguousarray(self.points, dtype=self.compute_dtype)
             )
         n = int(self.points.shape[0])
+        #: Square tile edge: the largest within TILE_BYTES, capped by tile_rows.
+        self.edge = max(
+            1, min(self.tile_rows, math.isqrt(TILE_BYTES // self.compute_dtype.itemsize))
+        )
+        #: Row spans of height ``edge``.
         self.tiles: List[Tuple[int, int]] = [
-            (start, min(start + self.tile_rows, n))
-            for start in range(0, n, self.tile_rows)
+            (start, min(start + self.edge, n)) for start in range(0, n, self.edge)
         ]
-        # Column blocks per shard: one full-width block without shards,
-        # tile_rows-wide blocks inside each shard otherwise.
-        if shards is None:
-            self._shard_blocks = [[(0, n)]]
-        else:
+        # The edge-wide column blocks of each shard; without shards the
+        # sweep walks the upper triangle (:attr:`_triangle`).
+        self._shard_blocks: Optional[List[List[Tuple[int, int]]]] = None
+        if shards is not None:
             self._shard_blocks = [
                 [
-                    (c, min(c + self.tile_rows, shard.stop))
-                    for c in range(shard.start, shard.stop, self.tile_rows)
+                    (c, min(c + self.edge, shard.stop))
+                    for c in range(shard.start, shard.stop, self.edge)
                 ]
                 for shard in shards
                 if len(shard) > 0
@@ -334,8 +358,12 @@ class TilePipeline:
                 capacity = min(capacity, budget // 4)
         else:
             capacity = int(cache_mb * 1024 * 1024)
-        columns = sum(stop - start for blocks in self._shard_blocks for start, stop in blocks)
-        working_set = n * columns * self.compute_dtype.itemsize
+        if self._shard_blocks is None:
+            # Sum over I <= J of |I| |J|: half of n² plus the diagonal's half.
+            entries = (n * n + sum((stop - start) ** 2 for start, stop in self.tiles)) // 2
+        else:
+            entries = n * sum(c1 - c0 for blocks in self._shard_blocks for c0, c1 in blocks)
+        working_set = entries * self.compute_dtype.itemsize
         self.cache: Optional[TileCache] = None
         if capacity > 0 and (working_set <= capacity or force_cache):
             self.cache = TileCache(capacity)
@@ -346,8 +374,28 @@ class TilePipeline:
 
     @property
     def num_tiles(self) -> int:
-        """Tiles evaluated (or replayed from the cache) by one sweep."""
+        """Tiles evaluated (or replayed from the cache) by one sweep.
+
+        Without shards these are the ``nb (nb + 1) / 2`` upper-triangle
+        tiles of ``nb = ceil(len(points) / edge)`` block rows, each
+        off-diagonal one applied twice.
+        """
+        if self._shard_blocks is None:
+            return len(self.tiles) * (len(self.tiles) + 1) // 2
         return len(self.tiles) * sum(len(blocks) for blocks in self._shard_blocks)
+
+    @functools.cached_property
+    def _triangle(self) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+        """The upper-triangle tiles as ``((row span), (column span))``.
+
+        Listed on the first sweep: a serving pipeline never sweeps, and its
+        query-height edge would make the list huge.
+        """
+        n = self.points.shape[0]
+        return [
+            ((r.start, r.stop), (c.start, c.stop))
+            for r, c in tile_grid(n, n, self.edge, triangular=True)
+        ]
 
     @property
     def cache_enabled(self) -> bool:
@@ -361,17 +409,17 @@ class TilePipeline:
 
     def _tile(
         self,
-        index: int,
-        block: Tuple[int, int],
-        cols: np.ndarray,
+        rows: Tuple[int, int],
+        cols: Tuple[int, int],
         stats: _SweepStats,
+        col_points: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Kernel tile of row tile ``index`` against the column ``block``.
+        """Kernel tile of the points ``rows`` against the points ``cols``.
 
-        Served from the cache when enabled; ``cols`` are the block's points
-        in ``compute_dtype``.
+        Served from the cache when enabled; ``col_points`` are the column
+        points in ``compute_dtype`` when the caller has them at hand.
         """
-        key = (index, block[0])
+        key = (rows[0], cols[0])
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
@@ -380,17 +428,16 @@ class TilePipeline:
                 return cached
             with stats.lock:
                 stats.misses += 1
-        start, stop = self.tiles[index]
         norms = self.row_norms
         tile = kernel_matrix(
-            self._rows(start, stop),
-            cols,
+            self._rows(*rows),
+            self._rows(*cols) if col_points is None else col_points,
             self.kernel,
             gamma=self.gamma,
             degree=self.degree,
             coef0=self.coef0,
-            a_sq=None if norms is None else norms[start:stop],
-            b_sq=None if norms is None else norms[block[0]:block[1]],
+            a_sq=None if norms is None else norms[rows[0]:rows[1]],
+            b_sq=None if norms is None else norms[cols[0]:cols[1]],
         ).astype(self.compute_dtype, copy=False)
         with self._count_lock:
             self.tiles_computed += 1
@@ -402,6 +449,29 @@ class TilePipeline:
                 stats.evictions += evicted
                 stats.oversized += int(oversized)
         return tile
+
+    def _sweep_triangle(self, V: np.ndarray, stats: _SweepStats) -> List[np.ndarray]:
+        """The lanes' partial ``K @ V`` outputs over the upper-triangle tiles.
+
+        Lane ``l`` owns a contiguous run of tiles and one partial, so no
+        output is written by two workers; a diagonal tile ``K_II``
+        contributes ``K_II @ V_I``, an off-diagonal one both ``K_IJ @ V_J``
+        and, by symmetry, ``K_IJᵀ @ V_I``.
+        """
+        triangle = self._triangle
+        n, k = V.shape
+
+        def run(lane) -> np.ndarray:
+            partial = np.zeros((n, k), dtype=self.dtype)
+            for rows, cols in triangle[lane.slice]:
+                tile = self._tile(rows, cols, stats)
+                partial[rows[0]:rows[1]] += tile @ V[cols[0]:cols[1]]
+                if rows != cols:
+                    partial[cols[0]:cols[1]] += tile.T @ V[rows[0]:rows[1]]
+            return partial
+
+        lanes = [lane for lane in chunk_ranges(len(triangle), _SWEEP_LANES) if len(lane)]
+        return self.pool.map_tasks(run, lanes)
 
     def _sweep_shard(
         self,
@@ -416,12 +486,12 @@ class TilePipeline:
             Vb = V[block[0]:block[1]]
 
             def run(index: int, first: bool = b == 0) -> None:
-                start, stop = self.tiles[index]
+                start, stop = rows = self.tiles[index]
                 # Row tiles are disjoint in target, so workers don't race.
                 if first:
-                    target[start:stop] = self._tile(index, block, cols, stats) @ Vb
+                    target[start:stop] = self._tile(rows, block, stats, cols) @ Vb
                 else:
-                    target[start:stop] += self._tile(index, block, cols, stats) @ Vb
+                    target[start:stop] += self._tile(rows, block, stats, cols) @ Vb
 
             self.pool.map_tasks(run, range(len(self.tiles)))
 
@@ -483,17 +553,17 @@ class TilePipeline:
         # across fits, so only the sweep caller knows which fit this is.
         ctx = current_context()
         with ctx.span("tile_sweep", tiles=self.num_tiles, columns=k) as span:
-            if len(self._shard_blocks) == 1:
-                self._sweep_shard(self._shard_blocks[0], V2, out2, stats)
+            if self._shard_blocks is None:
+                partials = self._sweep_triangle(V2, stats)
             else:
-                partials: List[np.ndarray] = []
+                partials = []
                 for blocks in self._shard_blocks:
                     partial = np.empty((n, k), dtype=self.dtype)
                     self._sweep_shard(blocks, V2, partial, stats)
                     partials.append(partial)
                     if len(partials) >= _FOLD_PARTIALS:
                         partials = [sum_partials(partials)]
-                out2[...] = sum_partials(partials)
+            out2[...] = sum_partials(partials) if partials else 0.0
         self.sweeps += 1
 
         ctx.inc("tile_sweeps")

@@ -115,11 +115,15 @@ class SimCommunicator:
 
     def broadcast(self, value: np.ndarray, root: int = 0) -> List[np.ndarray]:
         """Root's array delivered to every rank."""
-        self._check_rank(root)
         value = np.asarray(value, dtype=np.float64)
-        self._charge_all(self._tree_time(value.nbytes), value.nbytes * (self.num_ranks - 1))
-        self.counters["broadcast"] += 1
+        self.charge_broadcast(value.nbytes, root=root)
         return [value.copy() for _ in range(self.num_ranks)]
+
+    def charge_broadcast(self, nbytes: float, root: int = 0) -> None:
+        """Charge a broadcast of ``nbytes`` from ``root`` without moving data."""
+        self._check_rank(root)
+        self._charge_all(self._tree_time(nbytes), nbytes * (self.num_ranks - 1))
+        self.counters["broadcast"] += 1
 
     def gather(self, partials: Sequence[np.ndarray], root: int = 0) -> List[np.ndarray]:
         """Concatenate per-rank arrays at the root (rank order preserved)."""

@@ -20,6 +20,7 @@ __all__ = [
     "BlockRange",
     "chunk_ranges",
     "feature_split",
+    "weighted_device_slices",
     "weighted_feature_split",
     "round_up",
     "tile_grid",
@@ -99,18 +100,19 @@ def feature_split(num_features: int, num_devices: int) -> List[BlockRange]:
     return [r for r in ranges if len(r) > 0]
 
 
-def weighted_feature_split(
+def weighted_device_slices(
     num_features: int, weights: Sequence[float]
 ) -> List[BlockRange]:
-    """Feature split proportional to per-device weights (load balancing).
+    """Feature slices proportional to per-device weights, one per device.
 
     The paper's long-term goal includes "load balancing on heterogeneous
     hardware": when the devices differ in throughput, an equal split makes
     the slowest device the critical path. This splitter sizes each
     contiguous feature slice proportionally to its device's weight
     (sustained FLOP/s), using largest-remainder rounding so the slices
-    exactly tile the feature space. Devices whose share rounds to zero
-    receive no slice (and should be left idle).
+    exactly tile the feature space. Slice ``i`` belongs to device ``i``;
+    a device whose share rounds to zero gets an empty slice (and should
+    be left idle).
     """
     if num_features <= 0:
         raise ValueError("num_features must be positive")
@@ -132,7 +134,14 @@ def weighted_feature_split(
     for size in sizes:
         ranges.append(BlockRange(start, start + size))
         start += size
-    return [r for r in ranges if len(r) > 0]
+    return ranges
+
+
+def weighted_feature_split(
+    num_features: int, weights: Sequence[float]
+) -> List[BlockRange]:
+    """The non-empty slices of :func:`weighted_device_slices`, in order."""
+    return [r for r in weighted_device_slices(num_features, weights) if len(r) > 0]
 
 
 def tile_grid(

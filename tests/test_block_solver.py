@@ -283,6 +283,108 @@ class TestTilePipeline:
             pipe.sweep(np.ones(X.shape[0] + 1))
 
 
+class TestTriangularSweep:
+    """The in-memory sweep walks the upper triangle of square tiles."""
+
+    # 203 points with 16-point tiles: 13 block rows, the last one ragged.
+    N, EDGE = 203, 16
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(21).standard_normal((self.N, 5))
+
+    @pytest.mark.parametrize("kernel", ["rbf", "polynomial", "linear"])
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("cache_mb", [None, 0.0])
+    def test_bit_identical_for_any_thread_count(self, points, kernel, columns, cache_mb):
+        rng = np.random.default_rng(22)
+        shape = self.N if columns is None else (self.N, columns)
+        V = rng.standard_normal(shape)
+        results = []
+        for threads in (1, 2, 3):
+            pipe = TilePipeline(
+                points, kernel, gamma=0.1, tile_rows=self.EDGE,
+                num_threads=threads, cache_mb=cache_mb,
+            )
+            assert pipe.cache_enabled == (cache_mb is None)
+            results += [pipe.sweep(V), pipe.sweep(V)]  # computed, then replayed
+        for result in results[1:]:
+            np.testing.assert_array_equal(result, results[0])
+        dense = kernel_matrix(points, points, KernelType.from_name(kernel), gamma=0.1)
+        np.testing.assert_allclose(results[0], dense @ V, rtol=1e-12, atol=1e-11)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "polynomial", "linear"])
+    def test_matches_blocked_reference_and_explicit_q(self, planes_small, kernel):
+        from repro.backends.blocked_reference import blocked_kernel_matvec
+
+        X, y = planes_small
+        param = Parameter(kernel=kernel, cost=10.0, gamma=0.05)
+        v = np.random.default_rng(23).standard_normal(X.shape[0] - 1)
+        pipe = TilePipeline(X[:-1], kernel, gamma=0.05, tile_rows=self.EDGE, num_threads=2)
+        reference = blocked_kernel_matvec(X[:-1], v, KernelType.from_name(kernel), gamma=0.05)
+        np.testing.assert_allclose(pipe.sweep(v), reference, rtol=1e-12, atol=1e-10)
+        implicit = ImplicitQMatrix(X, y, param, tile_rows=self.EDGE, solver_threads=2)
+        np.testing.assert_allclose(
+            implicit.matvec(v), ExplicitQMatrix(X, y, param).matvec(v), rtol=1e-12, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("tile_cache_mb", [None, 0.0])
+    def test_seeded_fit_bit_identical_for_any_thread_count(self, tile_cache_mb):
+        from repro import LSSVC
+        from repro.data.synthetic import make_planes
+        from repro.parameter import ResourceConfig
+
+        # 1099 reduced rows: three block rows of the default 512-point edge.
+        X, y = make_planes(1100, 8, rng=3)
+        alphas = [
+            LSSVC(
+                kernel="rbf", C=1.0, implicit=True,
+                resources=ResourceConfig(solver_threads=threads, tile_cache_mb=tile_cache_mb),
+            ).fit(X, y).model_.alpha
+            for threads in (1, 2, 3)
+        ]
+        for alpha in alphas[1:]:
+            np.testing.assert_array_equal(alpha, alphas[0])
+
+    def test_tile_count_is_the_triangle(self, points):
+        pipe = TilePipeline(points, "rbf", gamma=0.1, tile_rows=self.EDGE)
+        nb = -(-self.N // self.EDGE)
+        assert pipe.edge == self.EDGE
+        assert pipe.num_tiles == nb * (nb + 1) // 2
+        pipe.sweep(np.ones(self.N))
+        assert pipe.tiles_computed == pipe.num_tiles
+        # The second sweep replays every tile from the cache.
+        pipe.sweep(np.ones(self.N))
+        assert pipe.tiles_computed == pipe.num_tiles
+        assert root_context().solver_counters_dict()["tiles_computed"] == pipe.num_tiles
+
+    def test_default_edge_fits_the_tile_budget(self, points):
+        from repro.core.tile_pipeline import TILE_BYTES
+
+        pipe = TilePipeline(points, "rbf", gamma=0.1)
+        assert pipe.edge == 512  # float64, under the default tile_rows of 1024
+        assert pipe.edge**2 * 8 <= TILE_BYTES
+        assert TilePipeline(points, "rbf", gamma=0.1, compute_dtype=np.float32).edge == 724
+
+    def test_cache_switched_by_the_triangle_bytes(self, points):
+        nb = -(-self.N // self.EDGE)
+        ragged = self.N - (nb - 1) * self.EDGE
+        # Full tiles above the diagonal, then the ragged last block column.
+        entries = (nb - 1) * nb // 2 * self.EDGE**2 + (nb - 1) * self.EDGE * ragged
+        entries += ragged**2
+        triangle_mb = entries * 8 / 2**20
+        square_mb = self.N**2 * 8 / 2**20
+
+        def cached(cache_mb):
+            return TilePipeline(
+                points, "rbf", gamma=0.1, tile_rows=self.EDGE, cache_mb=cache_mb
+            ).cache_enabled
+
+        assert triangle_mb < 0.6 * square_mb
+        assert cached(triangle_mb)
+        assert not cached(triangle_mb * 0.999)
+
+
 class TestKernelMatrixTilesEdges:
     """Edge cases of the pipeline's tiling (tile height vs point count)."""
 
@@ -300,7 +402,8 @@ class TestKernelMatrixTilesEdges:
         a = X[:7]
         dense = kernel_matrix(a, X, KernelType.POLYNOMIAL, gamma=0.05)
         pipe = TilePipeline(X, KernelType.POLYNOMIAL, gamma=0.05, tile_rows=1)
-        assert pipe.num_tiles == len(X)
+        # One-point tiles: the upper triangle of an m x m grid.
+        assert pipe.num_tiles == len(X) * (len(X) + 1) // 2
         assert all(stop - start == 1 for start, stop in pipe.tiles)
         np.testing.assert_allclose(
             pipe.cross_sweep(a, np.eye(len(X)), tile_rows=1), dense

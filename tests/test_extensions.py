@@ -480,6 +480,22 @@ class TestHeterogeneousBackend:
         plain = LSSVC(kernel="linear", epsilon=1e-10).fit(X, y)
         assert np.allclose(hetero.model_.alpha, plain.model_.alpha, atol=1e-6)
 
+    def test_weighted_slices_stay_with_their_devices(self):
+        # The GTX 1080 Ti's throughput share of 4 features rounds to zero:
+        # it must idle, not take the second A100's slice.
+        X, y = make_planes(128, 4, rng=16)
+        devices = ["nvidia_a100", "nvidia_gtx1080ti", "nvidia_a100"]
+        alphas = []
+        for balanced in (True, False):
+            backend = HeterogeneousCSVM(devices, balanced=balanced)
+            alphas.append(LSSVC(kernel="linear", backend=backend).fit(X, y).model_.alpha)
+            if balanced:
+                active = backend.last_run().active
+                assert [d.spec.name for d in active] == ["NVIDIA A100", "NVIDIA A100"]
+                assert [d.device_id for d in active] == [0, 2]
+        # Which device computes a slice is modeled; alpha is the host's.
+        np.testing.assert_array_equal(alphas[0], alphas[1])
+
     def test_best_backend_key_per_device(self):
         backend = HeterogeneousCSVM(["nvidia_a100", "amd_radeon_vii"])
         keys = [d.efficiency_key for d in backend.devices]

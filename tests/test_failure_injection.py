@@ -195,11 +195,11 @@ class TestTileCacheBudget:
         """A single tile larger than the whole budget used to be retained,
         leaving the cache permanently over ``capacity_bytes``."""
         reset_root_context()
-        # 64x4 fp64 points -> one 16x64 tile is 8 KiB; budget far below that.
+        # 64x4 fp64 points -> one square 16x16 tile is 2 KiB; budget below that.
         points = np.random.default_rng(8).standard_normal((64, 4))
         pipe = TilePipeline(
             points, "linear", tile_rows=16, num_threads=1,
-            cache_mb=4096 / (1024 * 1024), force_cache=True,
+            cache_mb=1024 / (1024 * 1024), force_cache=True,
         )
         assert pipe.cache is not None
         pipe.sweep(np.ones(64))

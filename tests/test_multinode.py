@@ -69,6 +69,16 @@ class TestSimCommunicator:
             assert np.allclose(res, [0, 1, 2, 3])
         assert comm.counters["broadcast"] == 1
 
+    def test_charge_broadcast_prices_bytes_without_data(self):
+        comm = SimCommunicator(4)
+        comm.charge_broadcast(25e6, root=2)
+        # Two tree rounds, each 1 MB at 25 GB/s plus the link latency.
+        assert comm.elapsed == pytest.approx(2 * (1.5e-6 + 1e-3))
+        assert comm.bytes_moved == 3 * 25e6
+        assert comm.counters["broadcast"] == 1
+        with pytest.raises(DataError):
+            comm.charge_broadcast(8.0, root=4)
+
     def test_gather_preserves_rank_order(self):
         comm = SimCommunicator(3)
         results = comm.gather([np.full(2, r) for r in range(3)])
@@ -203,6 +213,21 @@ class TestMultiNodeBackend:
         timings = clf.timings_.as_dict()
         assert timings["communication"] > 0
         assert timings["cg_device"] > timings["communication"]
+
+    def test_foreign_tiles_are_charged_their_bytes(self):
+        X, y = make_planes(4096, 64, rng=0)
+        backend = MultiNodeCSVM(num_nodes=2, gpus_per_node=2)
+        clf = LSSVC(kernel="rbf", backend=backend).fit(X, y)
+        cost = backend.last_run()
+        comm = cost.comm
+        # Per matvec: each node's two 1024-row tiles (4095 rows in all, 64
+        # fp64 features) cross to the other node, then one 4095-long
+        # allreduce; the bytes are what they were before tiles were priced.
+        per_matvec = 4095 * 64 * 8 + 4095 * 8
+        assert comm.bytes_moved == clf.iterations_ * per_matvec == 34_070_400
+        assert comm.counters["broadcast"] == 4 * clf.iterations_
+        link = comm.network.bandwidth_gbs * 1e9
+        assert cost.communication_time() >= comm.bytes_moved / link
 
     def test_describe(self):
         text = MultiNodeCSVM(num_nodes=3, gpus_per_node=4).describe()

@@ -17,10 +17,13 @@ from repro.parallel.partition import (
     round_up,
     tile_grid,
 )
+from repro.parallel import thread_pool
 from repro.parallel.reduction import sum_partials, tree_reduce
 from repro.parallel.thread_pool import (
+    BlasCap,
     ThreadPool,
     available_threads,
+    blas_cap,
     parallel_for,
     shared_pool,
 )
@@ -218,6 +221,104 @@ class TestThreadPool:
         assert available_threads() == 3
         monkeypatch.setenv("PLSSVM_NUM_THREADS", "bogus")
         assert available_threads() >= 1
+
+
+def _numpy_blas_name() -> str:
+    """numpy's BLAS as its build configuration names it ("" if unknown)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 prints its configuration only
+        return ""
+    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+
+
+class _FakeBlas:
+    """A BLAS stand-in recording every thread-count change."""
+
+    def __init__(self, threads: int) -> None:
+        self.threads = threads
+        self.calls = []
+
+    def set(self, count: int) -> None:
+        self.calls.append(count)
+        self.threads = count
+
+    def get(self) -> int:
+        return self.threads
+
+
+class TestBlasCap:
+    def test_pool_map_runs_every_openblas_at_one_thread(self):
+        libs = blas_cap.libraries
+        original = [get() for _, get in libs]
+        for set_threads, _ in libs:
+            set_threads(2)
+        try:
+            with ThreadPool(2) as pool:
+                inside = pool.map_tasks(lambda _: [get() for _, get in libs], range(4))
+            assert inside == [[1] * len(libs)] * 4
+            assert [get() for _, get in libs] == [2] * len(libs)
+        finally:
+            for (set_threads, _), count in zip(libs, original):
+                set_threads(count)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="resolved on Linux")
+    def test_openblas_numpy_resolves_a_setter(self):
+        # Fails rather than skips: without a setter the pool's workers would
+        # silently go back to one BLAS thread team each.
+        name = _numpy_blas_name()
+        if "openblas" in name.lower():
+            assert blas_cap.libraries, f"numpy uses {name} but no thread setter was resolved"
+
+    def test_nested_and_concurrent_maps_restore_exactly_once(self, monkeypatch):
+        fake = _FakeBlas(threads=4)
+        monkeypatch.setattr(thread_pool, "blas_cap", BlasCap(lambda: [(fake.set, fake.get)]))
+        # All four outer tasks must be in flight at once: both outer maps
+        # hold the cap together, and each task nests a map of its own.
+        barrier = threading.Barrier(4)
+        inner = ThreadPool(2)
+
+        def task(_):
+            barrier.wait(timeout=30)
+            return inner.map_tasks(lambda _: fake.get(), range(2))
+
+        results = {}
+
+        def outer(key):
+            with ThreadPool(2) as pool:
+                results[key] = pool.map_tasks(task, range(2))
+
+        callers = [threading.Thread(target=outer, args=(key,)) for key in "ab"]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+            inner.shutdown()
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {"a": [[1, 1], [1, 1]], "b": [[1, 1], [1, 1]]}
+        assert fake.calls == [1, 4]
+        assert fake.threads == 4
+
+    def test_resolver_finding_nothing_is_a_no_op(self, monkeypatch):
+        cap = BlasCap(lambda: [])
+        with cap, cap:
+            assert cap.libraries == []
+        monkeypatch.setattr(thread_pool, "blas_cap", cap)
+        with ThreadPool(2) as pool:
+            assert pool.map_tasks(lambda t: t * t, range(5)) == [0, 1, 4, 9, 16]
+
+    def test_resolved_once(self):
+        calls = []
+        cap = BlasCap(lambda: calls.append(1) or [])
+        for _ in range(3):
+            with cap:
+                pass
+        assert calls == [1]
 
 
 class TestReduction:

@@ -198,7 +198,8 @@ class TestConcurrentAttribution:
     produce disjoint, internally-consistent reports whose per-phase
     seconds account for the wall total to within 5%."""
 
-    def test_concurrent_fits_disjoint_reports(self):
+    @staticmethod
+    def _concurrent_fits():
         X1, y1 = make_planes(512, 16, rng=0)
         X2, y2 = make_planes(384, 24, rng=1)
         clf1 = LSSVC(kernel="rbf", C=1.0, gamma=0.1)
@@ -207,7 +208,10 @@ class TestConcurrentAttribution:
         jobs = [(clf1, X1, y1), (clf2, X2, y2)]
         with ThreadPool(2) as pool:
             pool.map_tasks(lambda job: job[0].fit(job[1], job[2]), jobs)
+        return clf1, clf2
 
+    def test_concurrent_fits_disjoint_reports(self):
+        clf1, clf2 = self._concurrent_fits()
         r1, r2 = clf1.report_, clf2.report_
         assert r1.num_samples == 512 and r2.num_samples == 384
 
@@ -219,12 +223,20 @@ class TestConcurrentAttribution:
             names = span_names(report.spans)
             assert names.count("cg_solve") == 1
             assert names.count("iteration") == clf.iterations_
-            # Per-phase seconds account for the wall total to within 5%.
+            # The phase spans follow one another inside the fit's span,
+            # and the phase seconds never exceed the wall total.
+            root = report.spans
+            end = root["ts"] + root["dur"]
+            phases = sorted(root["children"], key=lambda span: span["ts"])
+            assert phases
+            for prev, span in zip(phases, phases[1:]):
+                assert prev["ts"] + prev["dur"] <= span["ts"]
+            for span in phases:
+                assert root["ts"] <= span["ts"] and span["ts"] + span["dur"] <= end
             wall = report.wall_seconds
             parts = sum(v for k, v in report.phases.items() if k != "total")
             assert wall > 0
             assert parts <= wall + 1e-6
-            assert parts >= 0.95 * wall - 1e-3
 
         # The fits were attributed to different threads...
         assert r1.spans["attrs"]["thread"] != r2.spans["attrs"]["thread"]
@@ -235,6 +247,15 @@ class TestConcurrentAttribution:
             root["cg_iterations"]
             == r1.counters["cg_iterations"] + r2.counters["cg_iterations"]
         )
+
+    @pytest.mark.slow
+    def test_concurrent_fits_phases_cover_the_wall(self):
+        # The same fits on wall-clock seconds, which machine load can blur.
+        for clf in self._concurrent_fits():
+            wall = clf.report_.wall_seconds
+            parts = sum(v for k, v in clf.report_.phases.items() if k != "total")
+            # Per-phase seconds account for the wall total to within 5%.
+            assert parts >= 0.95 * wall - 1e-3
 
     def test_concurrent_device_fits_keep_device_events_apart(self, planes_small):
         X, y = planes_small
