@@ -38,6 +38,7 @@ import numpy as np
 
 from ..exceptions import DataError, InvalidParameterError, NotFittedError
 from ..membudget import memory_budget, reset_peak_rss, sample_peak_rss
+from ..parallel.thread_pool import blas_cap
 from ..parameter import Parameter, ResourceConfig, SolverConfig
 from ..profiling import ComponentTimer
 from ..sparse.csr import CSRMatrix
@@ -442,9 +443,12 @@ def _append_lssvm(
         **({"classes": T.shape[1]} if T.ndim == 2 else {}),
     ) as ctx:
         with memory_budget(resources.memory_budget_mb), timings.section("total"):
+            # The Cholesky extension and triangular solves run outside any
+            # pool map; one BLAS thread each beats OpenBLAS's default team
+            # on them as it does on the pool's tiles.
             with timings.section("refit"), ctx.span(
                 "refit", new_rows=X.shape[0], total_rows=engine.num_rows + X.shape[0]
-            ):
+            ), blas_cap:
                 res = engine.update(X, T)
             sample_peak_rss(ctx)
     report = build_report(

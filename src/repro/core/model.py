@@ -57,8 +57,48 @@ _KERNEL_NAMES = {
 _KERNEL_FROM_NAME = {v: k for k, v in _KERNEL_NAMES.items()}
 
 
+class _EngineModel:
+    """Prediction shared by the two artifact kinds: one cached engine.
+
+    ``decision_function`` is :meth:`LSSVMModel.decision_function` for both;
+    labels and accuracy follow from its sign.
+    """
+
+    def engine(self):
+        """The warm :class:`repro.serve.PredictionEngine` over this model.
+
+        Built on the first call and cached: precomputed RBF row norms, the
+        support set's pipeline and pool (or the feature map), amortized
+        across calls. Imported lazily — ``core`` stays below ``serve`` in
+        the layering. The engine's hoisted state is valid only for the
+        coefficients it was built from, so anything that mutates the
+        model — a ``partial_fit`` refit — calls ``invalidate_caches``,
+        after which the next call builds a fresh engine.
+        """
+        engine = getattr(self, "_cached_engine", None)
+        if engine is None:
+            from ..serve.engine import PredictionEngine
+
+            engine = self._cached_engine = PredictionEngine(self)
+        return engine
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predicted class labels (in the original label alphabet)."""
+        f = np.atleast_1d(self.decision_function(X))
+        pos, neg = self.labels
+        return np.where(f >= 0.0, pos, neg)
+
+    def score(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Classification accuracy on ``(X, y)``."""
+        y = np.asarray(y).ravel()
+        pred = self.predict(X)
+        if pred.shape[0] != y.shape[0]:
+            raise ModelFormatError("label vector length does not match data")
+        return float(np.mean(pred == y))
+
+
 @dataclasses.dataclass
-class LSSVMModel:
+class LSSVMModel(_EngineModel):
     """A fitted LS-SVM binary classifier.
 
     Attributes
@@ -125,13 +165,15 @@ class LSSVMModel:
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Signed distance surrogate ``f(x)`` for each row of ``X``.
 
-        Evaluated by this model's cached :meth:`engine`: the linear kernel
-        takes the O(d)-per-point primal fast path through
-        :meth:`weight_vector`; the non-linear kernels evaluate the kernel
-        expansion as a threaded cross sweep over the support vectors in
-        query tiles of at most 64 MiB, so prediction memory stays bounded
-        for any test-set size. Tiling does not change the values — each
-        output row is an independent kernel-row dot product.
+        A 1-D ``X`` is one row and gives a scalar. Evaluated by this
+        model's cached :meth:`engine`: the linear kernel takes the
+        O(d)-per-point primal path ``X @ w + b``; the non-linear kernels
+        evaluate the kernel expansion as a threaded cross sweep over the
+        support vectors, in query tiles of at most
+        :data:`~repro.core.tile_pipeline.TILE_BYTES` (2 MiB) and 1024 rows,
+        so prediction memory stays bounded for any test-set size. Each
+        output row is an independent kernel-row dot product, so tiling
+        changes values by BLAS rounding at most.
         """
         X = np.asarray(X, dtype=self.param.dtype)
         if X.shape[-1] != self.num_features:
@@ -141,50 +183,17 @@ class LSSVMModel:
         out = self.engine().decision_function(X)
         return out[0] if X.ndim == 1 else out
 
-    def engine(self, **kwargs):
-        """A warm :class:`repro.serve.PredictionEngine` over this model.
-
-        The serving path: precomputed RBF row norms, compute-dtype casts,
-        and threaded tile sweeps, amortized across calls. Keyword
-        arguments forward to the engine constructor (``solver_threads``,
-        ``compute_dtype``, ...). Imported lazily — ``core`` stays below
-        ``serve`` in the layering.
-
-        Engines are cached per keyword combination: an engine's hoisted
-        state (row norms, casts) is only valid for the coefficients it
-        was built from, so anything that mutates the model — a
-        ``partial_fit`` refit — must call :meth:`invalidate_caches`,
-        after which the next ``engine()`` call rebuilds fresh.
-        """
-        from ..serve.engine import PredictionEngine
-
-        try:
-            key = tuple(sorted(kwargs.items()))
-            hash(key)
-        except TypeError:
-            # Unhashable kwarg (a live generator, an array): no caching.
-            return PredictionEngine(self, **kwargs)
-        cache = getattr(self, "_engine_cache", None)
-        if cache is None:
-            cache = {}
-            self._engine_cache = cache
-        engine = cache.get(key)
-        if engine is None:
-            engine = PredictionEngine(self, **kwargs)
-            cache[key] = engine
-        return engine
-
     def invalidate_caches(self) -> None:
         """Drop derived state after an in-place mutation of the model.
 
-        Clears the cached prediction engines and the lazy linear weight
+        Clears the cached prediction engine and the lazy linear weight
         vector, then fires every registered invalidation hook — the
         mechanism a :class:`repro.serve.registry.ModelRegistry` uses to
         bump its generation (and drop its warm engine) the moment a
         ``partial_fit`` refit rewrites ``alpha``/``support_vectors``, so
         serving never answers from a stale solution.
         """
-        self._engine_cache = {}
+        self._cached_engine = None
         self._weight_cache = None
         for hook in tuple(getattr(self, "_invalidation_hooks", {}).values()):
             hook(self)
@@ -204,20 +213,6 @@ class LSSVMModel:
     def remove_invalidation_hook(self, key) -> None:
         getattr(self, "_invalidation_hooks", {}).pop(key, None)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels (in the original label alphabet)."""
-        f = np.atleast_1d(self.decision_function(X))
-        pos, neg = self.labels
-        return np.where(f >= 0.0, pos, neg)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Classification accuracy on ``(X, y)``."""
-        y = np.asarray(y).ravel()
-        pred = self.predict(X)
-        if pred.shape[0] != y.shape[0]:
-            raise ModelFormatError("label vector length does not match data")
-        return float(np.mean(pred == y))
-
     def save(self, path: Union[str, Path]) -> None:
         save_model(self, path)
 
@@ -227,7 +222,7 @@ class LSSVMModel:
 
 
 @dataclasses.dataclass
-class FeatureMapModel:
+class FeatureMapModel(_EngineModel):
     """A compact fitted LS-SVM: feature-map weights, no support set.
 
     Produced by the ``rff`` solver strategy: the decision function is the
@@ -300,45 +295,8 @@ class FeatureMapModel:
     def nbytes(self) -> int:
         return self.omega.nbytes + self.offsets.nbytes + self.weights.nbytes
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Feature rows ``z(x)``; shape ``(n, r)``."""
-        X = np.asarray(X, dtype=self.param.dtype)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.num_features:
-            raise ModelFormatError(
-                f"test data has {X.shape[1]} features, model expects {self.num_features}"
-            )
-        Z = X @ self.omega
-        Z += self.offsets
-        np.cos(Z, out=Z)
-        Z *= np.sqrt(2.0 / self.rank)
-        return Z[0] if single else Z
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """``f(x) = z(x) . w + b`` per row — the generalized primal fast path."""
-        return self.transform(X) @ self.weights + self.bias
-
-    def engine(self, **kwargs):
-        """A warm :class:`repro.serve.PredictionEngine` over this model."""
-        from ..serve.engine import PredictionEngine
-
-        return PredictionEngine(self, **kwargs)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels (in the original label alphabet)."""
-        f = np.atleast_1d(self.decision_function(X))
-        pos, neg = self.labels
-        return np.where(f >= 0.0, pos, neg)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Classification accuracy on ``(X, y)``."""
-        y = np.asarray(y).ravel()
-        pred = self.predict(X)
-        if pred.shape[0] != y.shape[0]:
-            raise ModelFormatError("label vector length does not match data")
-        return float(np.mean(pred == y))
+    #: ``f(x) = z(x) . w + b`` per row, through the same cached engine.
+    decision_function = LSSVMModel.decision_function
 
     def save(self, path: Union[str, Path]) -> None:
         save_compact_model(self, path)

@@ -15,7 +15,8 @@ Any binary estimator with the ``fit`` / ``decision_function`` interface
 can be plugged in via ``estimator_factory`` — by default a fresh
 :class:`repro.core.lssvm.LSSVC` with the given hyper-parameters. With the
 default machines, one-vs-all trains all ``K`` of them with one LS-SVM core
-solve of the ``(m, K)`` one-vs-rest target block.
+solve of the ``(m, K)`` one-vs-rest target block and predicts them with
+one :class:`repro.serve.PredictionEngine` over the ``(m, K)`` coefficients.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .lssvm import (
     _model_from,
     _solve_lssvm,
 )
-from .model import FeatureMapModel
 
 __all__ = ["OneVsAllLSSVC", "OneVsOneLSSVC"]
 
@@ -151,8 +151,9 @@ class _MulticlassBase(ParamsMixin):
 
     def _sync_params(self) -> None:
         # The grouped configs are authoritative over the flat attributes;
-        # any parameter change also invalidates the stacked-coefficient
-        # prediction cache and an in-flight incremental continuation.
+        # any parameter change also drops the prediction engine (built
+        # with solver_threads / compute_dtype) and an in-flight
+        # incremental continuation.
         apply_config(
             self, getattr(self, "config", None), supported=_MC_SOLVER_FIELDS
         )
@@ -168,7 +169,7 @@ class _MulticlassBase(ParamsMixin):
             epsilon=self.epsilon,
         )
         _check_options(self)
-        self._predict_state = None
+        self._predictor = None
         self._engine = None
 
     def _make_estimator(self):
@@ -326,12 +327,12 @@ class OneVsAllLSSVC(_MulticlassBase):
                 machines.append(clf)
         self.classes_, self.machines_ = classes, machines
         self._engine = None
-        self._predict_state = None
         self._adopt(solution)
         return self
 
     def _adopt(self, solution: Optional[_Solution]) -> None:
         self._solution = solution
+        self._predictor = None
         self.report_ = None if solution is None else solution.report
         self.timings_ = ComponentTimer() if solution is None else solution.timings
 
@@ -387,9 +388,6 @@ class OneVsAllLSSVC(_MulticlassBase):
             self._make_estimator() for _ in classes
         ]
         self.classes_, self.machines_ = classes, self._attach(solution, machines)
-        # Drop the stacked-coefficient prediction cache: the support set
-        # object changed, the next decision_matrix rebuilds it.
-        self._predict_state = None
         self._adopt(solution)
         return self
 
@@ -405,91 +403,29 @@ class OneVsAllLSSVC(_MulticlassBase):
             )
         return _one_vs_rest(y, classes), classes
 
-    def _shared_predict_state(self):
-        """Stacked coefficients when every machine shares one support set.
-
-        The shared block solve gives all K machines the *same* support
-        vector array (one object); their decision values then differ only
-        by alpha column and bias, so the whole ensemble's decision matrix
-        is one cross-kernel sweep ``K(X, SV) @ A + b`` — the serving-side
-        twin of the training-side "one assembly, one block solve"
-        optimization — instead of K independent kernel evaluations.
-        Returns ``None`` when the machines do not share a support set
-        (custom factory / legacy per-class fits with reordered rows).
-        """
-        models = [getattr(m, "model_", None) for m in self.machines_]
-        if not models or any(mod is None for mod in models):
-            return None
-        if all(isinstance(mod, FeatureMapModel) for mod in models):
-            # Compact ensemble from the shared rff fit: every machine
-            # shares one feature map object, so the decision matrix is a
-            # single z(X) @ W + b — one transform for all K classes.
-            key = models[0].omega
-            if any(mod.omega is not key for mod in models[1:]):
-                return None
-            cached = getattr(self, "_predict_state", None)
-            if cached is not None and cached[0] is key and len(cached[2]) == len(models):
-                return cached
-            param = models[0].param
-            W = np.column_stack([mod.weights for mod in models])
-            biases = np.asarray([mod.bias for mod in models], dtype=param.dtype)
-            state = (key, param, biases, None, W, None, models[0].transform)
-            self._predict_state = state
-            return state
-        if any(isinstance(mod, FeatureMapModel) for mod in models):
-            return None
-        sv = models[0].support_vectors
-        if any(mod.support_vectors is not sv for mod in models[1:]):
-            return None
-        cached = getattr(self, "_predict_state", None)
-        if cached is not None and cached[0] is sv and len(cached[2]) == len(models):
-            return cached
-        param = models[0].param
-        A = np.column_stack([mod.alpha for mod in models])
-        biases = np.asarray([mod.bias for mod in models], dtype=param.dtype)
-        if param.kernel is KernelType.LINEAR:
-            pipeline = None
-            W = np.column_stack([mod.weight_vector() for mod in models])
-        else:
-            from .tile_pipeline import TilePipeline, _prediction_tile_rows
-
-            W = None
-            pipeline = TilePipeline(
-                sv,
-                param.kernel,
-                gamma=param.gamma,
-                degree=param.degree,
-                coef0=param.coef0,
-                tile_rows=_prediction_tile_rows(len(sv), param.dtype),
-                num_threads=self.solver_threads,
-                cache_mb=0.0,
-                dtype=param.dtype,
-                compute_dtype=self.compute_dtype,
-            )
-        state = (sv, param, biases, A, W, pipeline, None)
-        self._predict_state = state
-        return state
-
     def decision_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-class decision values, shape ``(len(X), num_classes)``.
 
-        When the machines share one support set (the default shared-solve
-        fit), all K columns come from a single warm tile-pipeline sweep;
-        otherwise each machine evaluates independently.
+        After the shared block solve of the default machines, one
+        :class:`~repro.serve.PredictionEngine` over the ``(m, K)``
+        coefficient block (built on the first call) evaluates all K
+        columns in one sweep, ``K(X, SV) @ A + b``: Tyree et al.'s
+        batching of right-hand sides, applied to prediction. Custom-factory
+        machines each predict through their own model.
         """
         self._require_fitted()
-        state = self._shared_predict_state()
-        if state is not None:
-            _, param, biases, A, W, pipeline, transform = state
-            Xd = np.asarray(X, dtype=param.dtype)
-            if Xd.ndim == 1:
-                Xd = Xd[None, :]
-            if W is not None:
-                Z = Xd if transform is None else transform(Xd)
-                return Z @ W + biases
-            return pipeline.cross_sweep(Xd, A) + biases
-        columns = [np.atleast_1d(m.decision_function(X)) for m in self.machines_]
-        return np.column_stack(columns)
+        if self._solution is None:
+            columns = [np.atleast_1d(m.decision_function(X)) for m in self.machines_]
+            return np.column_stack(columns)
+        if self._predictor is None:
+            from ..serve.engine import PredictionEngine  # deferred: serve imports core
+
+            self._predictor = PredictionEngine(
+                self._solution,
+                solver_threads=self.solver_threads,
+                compute_dtype=self.compute_dtype,
+            )
+        return self._predictor.decision_function(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         scores = self.decision_matrix(X)
@@ -551,11 +487,8 @@ class OneVsOneLSSVC(_MulticlassBase):
             confidence[:, ia] += f
             confidence[:, ib] -= f
         # Majority vote; break ties by accumulated confidence.
-        best = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            top = votes[i].max()
-            tied = np.nonzero(votes[i] == top)[0]
-            best[i] = tied[np.argmax(confidence[i, tied])]
+        tied = votes == votes.max(axis=1, keepdims=True)
+        best = np.argmax(np.where(tied, confidence, -np.inf), axis=1)
         return self.classes_[best]
 
     @property

@@ -31,7 +31,6 @@ from ..types import KernelType
 from .cg import CGResult
 from .estimator import ParamsMixin, apply_config, warn_deprecated_flat_kwargs
 from .lssvm import _Solution, _append_lssvm, _check_options, _configs, _solve_lssvm
-from .tile_pipeline import TilePipeline, _prediction_tile_rows
 
 __all__ = ["LSSVR"]
 
@@ -97,6 +96,7 @@ class LSSVR(ParamsMixin):
         self.report_: Optional[TrainingReport] = None
         self.timings_ = ComponentTimer()
         self._solution: Optional[_Solution] = None
+        self._predictor = None
 
     def _sync_params(self) -> None:
         apply_config(
@@ -135,6 +135,7 @@ class LSSVR(ParamsMixin):
 
     def _adopt(self, solution) -> None:
         self._solution = solution
+        self._predictor = None
         self.result_ = solution.result
         self.report_ = solution.report
         self.timings_ = solution.timings
@@ -177,35 +178,20 @@ class LSSVR(ParamsMixin):
         return self._solution
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted function values for each row of ``X``.
+        """Predicted function values for each row of ``X`` (a scalar for a 1-D row).
 
-        The kernel expansion is one cross sweep of the tile pipeline over
-        the training points, in query tiles of at most 64 MiB.
+        One :class:`~repro.serve.PredictionEngine` over the solution, built
+        on the first call, evaluates ``K(X, SV) @ alpha + b`` in query
+        tiles of at most :data:`~repro.core.tile_pipeline.TILE_BYTES`
+        (``z(X) @ w + b`` after an rff fit).
         """
         fit = self._require_fitted()
-        X = np.asarray(X, dtype=self.param.dtype)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        width = fit.fmap.num_features if fit.fmap is not None else fit.points.shape[1]
-        if X.shape[1] != width:
-            raise DataError(
-                f"test data has {X.shape[1]} features, model expects {width}"
-            )
-        if fit.fmap is not None:
-            out = fit.fmap.transform(X) @ fit.alpha + fit.bias
-            return out[0] if single else out
-        pipeline = TilePipeline(
-            fit.points,
-            fit.param.kernel,
-            **fit.param.kernel_kwargs(),
-            tile_rows=_prediction_tile_rows(fit.points.shape[0], self.param.dtype),
-            cache_mb=0.0,
-            dtype=self.param.dtype,
-        )
-        out = pipeline.cross_sweep(X, fit.alpha)
-        out += fit.bias
-        return out[0] if single else out
+        if self._predictor is None:
+            from ..serve.engine import PredictionEngine  # deferred: serve imports core
+
+            self._predictor = PredictionEngine(fit)
+        out = self._predictor.decision_function(X)
+        return out[0] if np.ndim(X) == 1 else out
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """Coefficient of determination R^2 (1 is perfect, 0 is the mean)."""

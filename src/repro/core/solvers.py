@@ -257,14 +257,19 @@ class FourierFeatureMap:
     — the spectral measure of ``k(x, y) = exp(-gamma ||x - y||²)`` —
     and ``offsets ~ U[0, 2 pi)``, so ``E[z(x) . z(y)] = k(x, y)``
     (Rahimi & Recht, *Random Features for Large-Scale Kernel Machines*).
+    This is the one implementation of ``z``, for the rff fit (float64)
+    and for a :class:`~repro.core.model.FeatureMapModel`'s engine (the
+    model's dtype): it runs in the floating dtype of ``omega``.
     """
 
     omega: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        self.omega = np.ascontiguousarray(np.asarray(self.omega, dtype=np.float64))
-        self.offsets = np.asarray(self.offsets, dtype=np.float64).ravel()
+        omega = np.asarray(self.omega)
+        dtype = np.promote_types(omega.dtype, np.float32)
+        self.omega = np.ascontiguousarray(omega, dtype=dtype)
+        self.offsets = np.asarray(self.offsets, dtype=self.omega.dtype).ravel()
         if self.omega.ndim != 2:
             raise InvalidParameterError("omega must be a 2-D (d, r) array")
         if self.offsets.shape[0] != self.omega.shape[1]:
@@ -282,7 +287,7 @@ class FourierFeatureMap:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Feature rows ``z(x)`` for each row of ``X``; shape ``(n, r)``."""
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=self.omega.dtype)
         single = X.ndim == 1
         if single:
             X = X[None, :]

@@ -578,12 +578,7 @@ class TilePipeline:
         return result
 
     def cross_sweep(
-        self,
-        Q: np.ndarray,
-        V: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        *,
-        tile_rows: Optional[int] = None,
+        self, Q: np.ndarray, V: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Compute ``K(Q, points) @ V`` for a block of *query* rows ``Q``.
 
@@ -598,8 +593,9 @@ class TilePipeline:
 
         ``V`` may be a vector ``(n,)`` (one model's alphas) or a block
         ``(n, k)`` (stacked alphas of k machines sharing the support set);
-        either way the cost is one pass over the query tiles. Results are
-        accumulated into the pipeline ``dtype``.
+        either way the cost is one pass over query tiles of ``tile_rows``
+        rows (a prediction engine sizes them by :data:`TILE_BYTES`).
+        Results are accumulated into the pipeline ``dtype``.
         """
         if self._points_c is None:
             raise InvalidParameterError(
@@ -618,14 +614,12 @@ class TilePipeline:
         Vc, out2, result = self._operands(V, q, out, "K(Q, points) @ V")
         k = Vc.shape[1]
 
-        rows = int(tile_rows) if tile_rows is not None else self.tile_rows
-        if rows <= 0:
-            raise InvalidParameterError("tile_rows must be positive")
         # Query-side norms for the RBF expansion; the support-side norms
         # are the pipeline's precomputed ones.
         q_norms = (
             squared_row_norms(Qc) if self.kernel is KernelType.RBF else None
         )
+        rows = self.tile_rows
         spans = [(start, min(start + rows, q)) for start in range(0, q, rows)]
 
         def run(span_idx: int) -> None:

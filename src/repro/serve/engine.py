@@ -1,33 +1,35 @@
-"""The warm per-model prediction engine behind the serving subsystem.
+"""The one prediction path: a warm engine over a coefficient vector or block.
 
-A cold prediction path would re-derive everything a kernel evaluation
-needs on every call: the RBF support-vector norms, any ``compute_dtype``
-cast of the support set, and (implicitly) a thread to run on. Amortized
-over a server's lifetime that is the entire point — kernel-SVM inference
-cost is dominated by evaluating kernel rows against the support set (the
-same observation PLSSVM's training pipeline exploits), and all of the
-row-independent half of that work can be hoisted to model-load time.
-Offline ``LSSVMModel.decision_function`` goes through the model's own
-cached engine too, so there is one prediction path.
+Every LS-SVM prediction is the kernel-row product
+``f(X) = K(X, SV) @ A + b`` that the implicit CG matvec computes, with
+every training point a support vector (§II-C). A cold path would
+re-derive everything that evaluation needs on every call: the RBF
+support-vector norms, any ``compute_dtype`` cast of the support set, and
+(implicitly) a thread to run on. All of that row-independent work is
+hoisted to engine construction, the same observation PLSSVM's training
+pipeline exploits.
 
-A :class:`PredictionEngine` does that hoisting: it owns a loaded
-:class:`~repro.core.model.LSSVMModel` plus a warm
-:class:`~repro.core.tile_pipeline.TilePipeline` over its support vectors
-(precomputed row norms, compute-dtype cast, shared worker pool) and
-routes every prediction through
+A :class:`PredictionEngine` does that hoisting and is the only code that
+evaluates ``f``. It takes its coefficients from the object it is given:
+
+* an :class:`~repro.core.model.LSSVMModel` (``A`` is the alpha vector);
+* a :class:`~repro.core.model.FeatureMapModel` (``z(X) @ w + b``: no
+  support set, so no pipeline);
+* a solution of the LS-SVM core (``repro.core.lssvm._Solution``), whose
+  ``A`` may be an ``(m, k)`` block with a ``(k,)`` bias — one column per
+  regression target or one-vs-all class, all evaluated by one sweep.
+
+The support-set kinds route through a warm
+:class:`~repro.core.tile_pipeline.TilePipeline`'s
 :meth:`~repro.core.tile_pipeline.TilePipeline.cross_sweep` — threaded,
-budget-tiled (one query tile stays under 64 MiB and 1024 rows),
-mixed-precision capable.
-``predict`` is thread-safe and stateless per call, so one engine serves
-arbitrarily many concurrent callers (the micro-batcher counts on it).
-
-Compact :class:`~repro.core.model.FeatureMapModel` artifacts take a
-generalized primal fast path instead: there is no support set to tile
-over, so the engine skips the pipeline entirely and serves
-``z(x) @ w + b`` — the same O(r)-per-row expression the model itself
-evaluates, hence bit-identical to offline prediction. The linear
-kernel's materialized-``w`` path is the special case of this with an
-identity feature map.
+query tiles of at most :data:`~repro.core.tile_pipeline.TILE_BYTES` and
+1024 rows, mixed-precision capable. The linear kernel takes PLSSVM's
+primal path ``X @ w + b`` instead, with ``w`` derived once. Offline
+``LSSVMModel.decision_function``, ``LSSVR.predict`` and
+``OneVsAllLSSVC.decision_matrix`` all go through an engine, so offline
+and served values come from one expression. ``decision_function`` is
+thread-safe and stateless per call, so one engine serves arbitrarily many
+concurrent callers (the micro-batcher counts on it).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.model import FeatureMapModel, LSSVMModel
+from ..core.solvers import FourierFeatureMap
 from ..core.tile_pipeline import TilePipeline, _prediction_tile_rows
 from ..exceptions import DataError
 from ..telemetry.context import current_context
@@ -47,12 +50,16 @@ __all__ = ["PredictionEngine"]
 
 
 class PredictionEngine:
-    """A loaded model kept warm for repeated, concurrent prediction.
+    """A fitted model kept warm for repeated, concurrent prediction.
 
     Parameters
     ----------
     model:
-        The fitted binary LS-SVM to serve.
+        What to evaluate: an :class:`~repro.core.model.LSSVMModel`, a
+        :class:`~repro.core.model.FeatureMapModel`, or an LS-SVM core
+        solution with a coefficient vector or ``(m, k)`` block (see the
+        module docstring). :meth:`evaluate`/:meth:`predict` need the
+        binary models' ``labels``.
     solver_threads:
         Worker-thread count for the tile sweeps (``None`` resolves like
         the training pipeline: ``PLSSVM_NUM_THREADS`` / CPU count).
@@ -69,7 +76,7 @@ class PredictionEngine:
 
     def __init__(
         self,
-        model: LSSVMModel,
+        model,
         *,
         solver_threads: Optional[int] = None,
         compute_dtype=None,
@@ -80,37 +87,49 @@ class PredictionEngine:
         self.name = name
         self.generation = int(generation)
         param = model.param
-        self._transform = None
         if isinstance(model, FeatureMapModel):
+            fmap = FourierFeatureMap(model.omega, model.offsets)
+            points, coef = None, model.weights
+        elif isinstance(model, LSSVMModel):
+            points, fmap, coef = model.support_vectors, None, model.alpha
+        else:
+            # An LS-SVM core solution: a support set or an rff map, and an
+            # alpha vector or (m, k) block with a (k,) bias.
+            points, fmap, coef = model.points, model.fmap, model.alpha
+        coef = np.ascontiguousarray(coef, dtype=param.dtype)
+        self._fmap = fmap
+        self.pipeline = None
+        self._alpha = None
+        self._weight = None
+        if fmap is not None:
             # Compact artifact: no support set, no pipeline — the whole
             # warm state is the (d, r) feature map plus the primal weights.
-            self.pipeline = None
-            self._alpha = None
-            self._weight = np.ascontiguousarray(model.weights, dtype=param.dtype)
-            self._transform = model.transform
+            self._weight = coef
+            self.num_support_vectors, self.num_features = 0, fmap.num_features
         else:
-            # cache_mb=0: the square support x support cache never pays off
-            # in serving (queries are novel rows); the pipeline is kept for
-            # its warm norms, casts, and pool.
+            # cache_mb=0: the square support x support cache never pays
+            # off in serving (queries are novel rows); the pipeline is
+            # kept for its warm norms, casts, and pool.
             self.pipeline = TilePipeline(
-                model.support_vectors,
+                points,
                 param.kernel,
                 gamma=param.gamma,
                 degree=param.degree,
                 coef0=param.coef0,
-                tile_rows=_prediction_tile_rows(model.num_support_vectors, param.dtype),
+                tile_rows=_prediction_tile_rows(points.shape[0], param.dtype),
                 num_threads=solver_threads,
                 cache_mb=0.0,
                 dtype=param.dtype,
                 compute_dtype=compute_dtype,
             )
-            self._alpha = np.ascontiguousarray(model.alpha, dtype=param.dtype)
-            # The linear kernel's O(d)-per-point primal fast path:
-            # materialize w once at load time instead of lazily on the
-            # first request.
-            self._weight = (
-                model.weight_vector() if param.kernel is KernelType.LINEAR else None
-            )
+            self._alpha = coef
+            self.num_support_vectors, self.num_features = points.shape
+            if param.kernel is KernelType.LINEAR:
+                # The linear kernel's O(d)-per-point primal path: one
+                # w = SVᵀ a per coefficient column (Eq. 15), derived once.
+                columns = coef.reshape(len(points), -1).T
+                W = np.column_stack([a @ points for a in columns])
+                self._weight = W if coef.ndim == 2 else W[:, 0]
         self._lock = threading.Lock()
         self.requests = 0
         self.rows_served = 0
@@ -118,27 +137,16 @@ class PredictionEngine:
     # -- introspection --------------------------------------------------------
 
     @property
-    def num_features(self) -> int:
-        return self.model.num_features
-
-    @property
-    def num_support_vectors(self) -> int:
-        return self.model.num_support_vectors
-
-    @property
     def nbytes(self) -> int:
         """Resident bytes of the warm state (the registry's eviction unit)."""
         if self.pipeline is None:
-            return int(self.model.nbytes)
-        total = self.model.support_vectors.nbytes + self._alpha.nbytes
-        pipe = self.pipeline
-        if pipe._points_c is not pipe.points:
-            total += pipe._points_c.nbytes
-        if pipe.row_norms is not None:
-            total += pipe.row_norms.nbytes
-        if self._weight is not None:
-            total += self._weight.nbytes
-        return total
+            parts = [self._fmap.omega, self._fmap.offsets, self._weight]
+        else:
+            pipe = self.pipeline
+            parts = [pipe.points, self._alpha, pipe.row_norms, self._weight]
+            if pipe._points_c is not pipe.points:
+                parts.append(pipe._points_c)
+        return sum(part.nbytes for part in parts if part is not None)
 
     def describe(self) -> dict:
         """JSON-ready summary for the ``/models`` endpoint."""
@@ -157,9 +165,9 @@ class PredictionEngine:
             "requests": self.requests,
             "rows_served": self.rows_served,
         }
-        if self._transform is not None:
+        if self._fmap is not None:
             summary["kind"] = "compact"
-            summary["rank"] = self.model.rank
+            summary["rank"] = self._fmap.rank
         return summary
 
     # -- prediction -----------------------------------------------------------
@@ -178,18 +186,18 @@ class PredictionEngine:
         return X
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """``f(x)`` per row, through the warm tile pipeline.
+        """``f(x)`` per row: shape ``(n,)``, or ``(n, k)`` for a coefficient block.
 
-        ``LSSVMModel.decision_function`` is this method on the model's own
-        cached engine, so offline and served values are bit-identical at
-        full precision.
+        A 1-D ``X`` is one row. ``LSSVMModel.decision_function`` is this
+        method on the model's own cached engine, so offline and served
+        values are bit-identical at full precision.
         """
         X = self._validate(X)
         if self._weight is not None:
-            # Generalized primal fast path: identity map for the linear
+            # Generalized primal path: identity map for the linear
             # kernel, the random Fourier map for compact models. Either
             # way f(x) = z(x) @ w + b, O(features-out) per row.
-            Z = X if self._transform is None else self._transform(X)
+            Z = X if self._fmap is None else self._fmap.transform(X)
             f = Z @ self._weight + self.model.bias
         else:
             f = self.pipeline.cross_sweep(X, self._alpha)

@@ -406,7 +406,7 @@ class TestKernelMatrixTilesEdges:
         assert pipe.num_tiles == len(X) * (len(X) + 1) // 2
         assert all(stop - start == 1 for start, stop in pipe.tiles)
         np.testing.assert_allclose(
-            pipe.cross_sweep(a, np.eye(len(X)), tile_rows=1), dense
+            pipe.cross_sweep(a, np.eye(len(X))), dense
         )
         np.testing.assert_allclose(
             pipe.sweep(np.eye(len(X)))[:7], dense

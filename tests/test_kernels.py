@@ -137,8 +137,10 @@ class TestTiles:
         a = rng.standard_normal((7, 3))
         b = rng.standard_normal((5, 3))
         full = kernel_matrix(a, b, "rbf", gamma=0.2)
-        pipe = TilePipeline(b, "rbf", gamma=0.2, num_threads=2, cache_mb=0)
-        out = pipe.cross_sweep(a, np.eye(5), tile_rows=tile_rows)
+        pipe = TilePipeline(
+            b, "rbf", gamma=0.2, tile_rows=tile_rows, num_threads=2, cache_mb=0
+        )
+        out = pipe.cross_sweep(a, np.eye(5))
         assert np.allclose(out, full)
 
     def test_invalid_tile_rows(self, rng):

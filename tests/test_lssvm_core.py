@@ -52,6 +52,31 @@ class TestTracePoints:
         }
         assert "fit" in LSSVC.__dict__
 
+    def test_prediction_passes_each_traced_method_once(self, monkeypatch):
+        from repro.core.model import LSSVMModel
+        from repro.core.tile_pipeline import TilePipeline
+        from repro.serve.engine import PredictionEngine
+
+        # The tracer wraps each method through its defining class's __dict__.
+        assert "decision_function" in LSSVMModel.__dict__
+        assert "evaluate" in PredictionEngine.__dict__
+        assert "sweep" in TilePipeline.__dict__
+        assert "cross_sweep" in TilePipeline.__dict__
+        calls = {}
+        traced = ((LSSVMModel, "decision_function"), (TilePipeline, "cross_sweep"))
+        for owner, name in traced:
+            original = owner.__dict__[name]
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        X, y = make_planes(120, 5, rng=1)
+        clf = LSSVC(kernel="rbf").fit(X, y)
+        clf.predict(X[:9])
+        assert calls == {"decision_function": 1, "cross_sweep": 1}
+
 
 def _stream_data(kind):
     if kind == "LSSVR":

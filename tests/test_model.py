@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.lssvm import LSSVC
 from repro.core.model import LSSVMModel, load_model, save_model
+from repro.core.tile_pipeline import TilePipeline
 from repro.exceptions import ModelFormatError
 from repro.parameter import Parameter
 from repro.types import KernelType
@@ -40,7 +41,11 @@ class TestContainer:
     def test_tiled_prediction_matches_untiled(self, fitted, planes_small):
         X, _ = planes_small
         model = fitted.model_
-        coarse = model.engine().pipeline.cross_sweep(X, model.alpha, tile_rows=7)
+        param = model.param
+        pipeline = TilePipeline(
+            model.support_vectors, param.kernel, **param.kernel_kwargs(), tile_rows=7
+        )
+        coarse = pipeline.cross_sweep(X, model.alpha)
         fine = model.decision_function(X)
         assert np.allclose(coarse + model.bias, fine)
 

@@ -450,6 +450,7 @@ class TestHTTPServer:
 class TestRewiredPredictPaths:
     def test_model_decision_function_budget_chunks(self, planes_small):
         from repro.core.model import LSSVMModel
+        from repro.core.tile_pipeline import TILE_BYTES, TilePipeline
         from repro.exceptions import InvalidParameterError
         from repro.parameter import Parameter
 
@@ -457,12 +458,15 @@ class TestRewiredPredictPaths:
         model = LSSVC(kernel="rbf", C=10.0, gamma=0.25).fit(X, y).model_
         full = model.decision_function(X)
         # One-row query tiles: results must agree with the default tiling.
-        pipeline = model.engine().pipeline
-        chunked = pipeline.cross_sweep(X, model.alpha, tile_rows=1) + model.bias
+        param = model.param
+        pipeline = TilePipeline(
+            model.support_vectors, param.kernel, **param.kernel_kwargs(), tile_rows=1
+        )
+        chunked = pipeline.cross_sweep(X, model.alpha) + model.bias
         assert np.allclose(chunked, full)
         with pytest.raises(InvalidParameterError):
-            pipeline.cross_sweep(X, model.alpha, tile_rows=0)
-        # A large support set shrinks the query tile under its 64 MiB budget.
+            TilePipeline(model.support_vectors, param.kernel, tile_rows=0)
+        # A large support set shrinks the query tile under its TILE_BYTES budget.
         big = LSSVMModel(
             support_vectors=np.zeros((100_000, 1)),
             alpha=np.zeros(100_000),
@@ -471,7 +475,7 @@ class TestRewiredPredictPaths:
         )
         rows = big.engine().pipeline.tile_rows
         assert 1 <= rows < 1024
-        assert rows * big.num_support_vectors * 8 <= 64 * 2**20
+        assert rows * big.num_support_vectors * 8 <= TILE_BYTES
 
     def test_model_engine_helper(self, planes_small):
         X, y = planes_small
@@ -481,17 +485,23 @@ class TestRewiredPredictPaths:
         assert np.array_equal(engine.predict(X), model.predict(X))
 
     def test_multiclass_shared_sweep_matches_per_machine(self, rng):
+        from repro.telemetry import root_context
+
         X = rng.normal(size=(96, 5))
         y = rng.integers(0, 3, size=96).astype(float)
         for kernel in ("linear", "rbf"):
             clf = OneVsAllLSSVC(kernel=kernel, C=2.0, gamma=0.4).fit(X, y)
+            before = root_context().metrics.value("tile_sweeps")
             fast = clf.decision_matrix(X[:17])
+            sweeps = root_context().metrics.value("tile_sweeps") - before
             reference = np.column_stack(
                 [np.atleast_1d(m.decision_function(X[:17])) for m in clf.machines_]
             )
             assert fast.shape == (17, 3)
             assert np.allclose(fast, reference)
-            assert getattr(clf, "_predict_state", None) is not None
+            # All three classes in one cross sweep (none on the linear
+            # kernel's primal path).
+            assert sweeps == (1 if kernel == "rbf" else 0)
             # Predictions route through the same matrix.
             assert np.array_equal(
                 clf.predict(X[:17]),
