@@ -33,7 +33,7 @@ def test_blocking_size_sweep(benchmark, record_result):
 def test_host_variants(benchmark, record_result):
     result = benchmark.pedantic(ablations.run_host_variants, rounds=1, iterations=1)
     record_result(result)
-    by = {row.meta["variant"]: row.values["fit_s"] for row in result.rows}
+    by = {row.meta["variant"]: row.values["seconds"] for row in result.rows}
     # §III-A: the SoA layout's dimension-wise scans beat row-major scans.
     assert by["SoA feature scan"] < by["row-major feature scan"]
 

@@ -30,7 +30,7 @@ def _sparse_vs_dense(densities=(0.05, 0.2, 0.5, 1.0), num_points=1024, num_featu
         actual = CSRMatrix.from_dense(Xd).density
 
         start = time.perf_counter()
-        dense = LSSVC(kernel="linear", epsilon=1e-8, implicit=True).fit(Xd, y)
+        dense = LSSVC(kernel="linear", epsilon=1e-8).fit(Xd, y)
         dense_s = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -68,7 +68,7 @@ def single_vs_block(
     X, y = make_multiclass(m, features, num_classes=classes, rng=seed)
     Y = _class_targets(y)
     param = Parameter(kernel="rbf", cost=10.0)
-    qmat, _ = build_reduced_system(X, Y[:, 0], param, implicit=True)
+    qmat, _ = build_reduced_system(X, Y[:, 0], param)
     B = reduced_rhs(Y)
 
     with scope("single") as single_ctx:
@@ -110,9 +110,7 @@ def tile_cache(
     B = reduced_rhs(Y)
 
     def solve(cache_mb):
-        qmat, _ = build_reduced_system(
-            X, Y[:, 0], param, implicit=True, tile_cache_mb=cache_mb
-        )
+        qmat, _ = build_reduced_system(X, Y[:, 0], param, tile_cache_mb=cache_mb)
         return conjugate_gradient_block(qmat, B, epsilon=epsilon)
 
     with scope("uncached") as ctx:
@@ -158,10 +156,6 @@ def multiclass(
     )
     shared_seconds, shared, shared_counters = fit()
 
-    # A third run on the implicit path surfaces the tile-cache counters for
-    # a problem of this size (the explicit path has no tiles to cache).
-    implicit_seconds, _, implicit_counters = fit(implicit=True)
-
     return {
         "points": m,
         "num_classes": classes,
@@ -173,11 +167,6 @@ def multiclass(
         "legacy_cg_iterations": legacy_counters["cg_iterations"],
         "shared_cg_solves": shared_counters["cg_solves"],
         "shared_cg_iterations": shared_counters["cg_iterations"],
-        "shared_implicit": {
-            "seconds": implicit_seconds,
-            "counters": implicit_counters,
-            "cache_hit_rate": implicit_counters["cache_hit_rate"],
-        },
     }
 
 
@@ -195,7 +184,7 @@ def preconditioning(m: int, features: int, epsilon: float, seed: int) -> dict:
     X, y = make_multiclass(m, features, num_classes=2, rng=seed)
     targets = np.where(y == y[0], 1.0, -1.0)
     param = Parameter(kernel="rbf", cost=300.0, gamma=0.5 / features)
-    qmat, rhs = build_reduced_system(X, targets, param, implicit=True)
+    qmat, rhs = build_reduced_system(X, targets, param)
 
     configs = {}
     for kind in (None, "jacobi", "nystrom"):
@@ -239,9 +228,7 @@ def mixed_precision(m: int, features: int, epsilon: float, seed: int) -> dict:
     param = Parameter(kernel="rbf", cost=100.0)
 
     def solve(compute_dtype):
-        qmat, rhs = build_reduced_system(
-            X, targets, param, implicit=True, compute_dtype=compute_dtype
-        )
+        qmat, rhs = build_reduced_system(X, targets, param, compute_dtype=compute_dtype)
         result = conjugate_gradient(qmat, rhs, epsilon=epsilon)
         return result, qmat.pipeline.stats()
 
@@ -384,9 +371,7 @@ def out_of_core(
             with memory_budget(budget_mb):
                 dataset = open_chunked(path, memory_budget_mb=budget_mb)
                 try:
-                    qmat_mem, _ = build_reduced_system(
-                        X, targets, param, implicit=True
-                    )
+                    qmat_mem, _ = build_reduced_system(X, targets, param)
                     qmat_ooc, _ = build_reduced_system(
                         dataset, targets, param, shard_rows=shards
                     )

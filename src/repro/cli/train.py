@@ -177,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MB",
         help="hard training-memory budget in MiB: the data is streamed in "
         "row blocks from disk (text formats are spilled once to a PLSB "
-        "binary cache), the explicit reduced system refuses to "
-        "materialize past the budget, and the report's peak_rss_bytes "
-        "records the realized high-water mark",
+        "binary cache), the kernel-tile cache gets at most a quarter of "
+        "the budget, and the report's peak_rss_bytes records the realized "
+        "high-water mark",
     )
     parser.add_argument(
         "--shard-rows",

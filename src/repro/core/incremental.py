@@ -19,7 +19,7 @@ refreshed model).
   ``x_{m+k}`` shifts every old entry by the rank-two correction
   ``D += a 1^T + 1 a^T + c`` with ``a_i = q_bar_old_i - q_bar_new_i``
   and ``c = q_mm_new - q_mm_old`` — two in-place broadcast passes, no
-  O(m²) rebuild, no second Gram copy. Past ``explicit_limit`` rows (or
+  O(m²) rebuild, no second Gram copy. Past :data:`EXPLICIT_LIMIT` rows (or
   a memory budget too small for the buffer) the engine drops to the
   matrix-free operator, where the savings come from the warm start
   alone.
@@ -65,18 +65,21 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
     _get_blas_funcs = None
 
 
-def _load_lda_trsm():
-    """ctypes handles to the Fortran ``?trsm`` routines, keyed by dtype.
+def _load_lda_triangular():
+    """ctypes handles to the Fortran triangular BLAS routines.
 
-    The f2py-generated wrappers behind ``get_blas_funcs`` insist on
+    Keyed by ``(routine, dtype)`` for ``trsm``/``trmm`` (a block of
+    columns) and ``trsv``/``trmv`` (one column, which they read the
+    factor for at about twice the speed of a one-column ``trsm``). The
+    f2py-generated wrappers behind ``get_blas_funcs`` insist on
     Fortran-*contiguous* operands and silently copy the whole O(n²)
-    factor otherwise, which forbids solving against the leading sub-block
+    factor otherwise, which forbids working against the leading sub-block
     of a capacity buffer (its column stride is the buffer's, not the
     block's). The raw Fortran routines take an explicit leading
     dimension, so calling them through SciPy's ``cython_blas`` PyCapsule
-    pointers keeps every solve zero-copy. LP64 (32-bit BLAS int) builds
-    only — the capsule signature is checked, and a padded-view self-test
-    below disables the path on any mismatch.
+    pointers keeps every solve and product zero-copy. LP64 (32-bit BLAS
+    int) builds only — the capsule signature is checked, and a
+    padded-view self-test below disables a routine on any mismatch.
     """
     try:
         import ctypes
@@ -91,77 +94,90 @@ def _load_lda_trsm():
     get_ptr.restype = ctypes.c_void_p
     get_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
     c_int_p = ctypes.POINTER(ctypes.c_int)
+    char = ctypes.c_char_p
+
+    def byref_int(value):
+        return ctypes.byref(ctypes.c_int(value))
 
     handles = {}
-    for name, scalar, dtype in (
-        ("dtrsm", ctypes.c_double, np.float64),
-        ("strsm", ctypes.c_float, np.float32),
-    ):
+    for routine, name, scalar, dtype in [
+        (routine, prefix + routine, scalar, dtype)
+        for routine in ("trsm", "trmm", "trsv", "trmv")
+        for prefix, scalar, dtype in (
+            ("d", ctypes.c_double, np.float64),
+            ("s", ctypes.c_float, np.float32),
+        )
+    ]:
         capsule = cython_blas.__pyx_capi__.get(name)
         if capsule is None:
             continue
         signature = get_name(capsule)
         if signature is None or b"int" not in signature:
             continue
-        proto = ctypes.CFUNCTYPE(
-            None,
-            ctypes.c_char_p,  # side
-            ctypes.c_char_p,  # uplo
-            ctypes.c_char_p,  # transa
-            ctypes.c_char_p,  # diag
-            c_int_p,  # m
-            c_int_p,  # n
-            ctypes.POINTER(scalar),  # alpha
-            ctypes.POINTER(scalar),  # a
-            c_int_p,  # lda
-            ctypes.POINTER(scalar),  # b
-            c_int_p,  # ldb
-        )
-        fn = proto(get_ptr(capsule, signature))
+        ptr = ctypes.POINTER(scalar)
+        level3 = routine.endswith("m")
+        if level3:  # side uplo transa diag m n alpha a lda b ldb
+            argtypes = [char] * 4 + [c_int_p] * 2 + [ptr, ptr, c_int_p, ptr, c_int_p]
+        else:  # uplo trans diag n a lda x incx
+            argtypes = [char] * 3 + [c_int_p, ptr, c_int_p, ptr, c_int_p]
+        fn = ctypes.CFUNCTYPE(None, *argtypes)(get_ptr(capsule, signature))
 
-        def call(L, B, trans, *, _fn=fn, _scalar=scalar, _ctypes=ctypes):
+        def call(L, B, trans, *, _fn=fn, _ptr=ptr, _scalar=scalar, _level3=level3):
             m, c = B.shape
             itemsize = L.dtype.itemsize
             # A size-1 trailing dimension may carry an arbitrary stride
             # under NumPy's relaxed-strides rules; BLAS wants ld >= m.
-            lda = max(L.strides[1] // itemsize, m)
-            ldb = max(B.strides[1] // itemsize, m)
-            _fn(
-                b"L",
-                b"L",
-                b"T" if trans else b"N",
-                b"N",
-                _ctypes.byref(_ctypes.c_int(m)),
-                _ctypes.byref(_ctypes.c_int(c)),
-                _ctypes.byref(_scalar(1.0)),
-                L.ctypes.data_as(_ctypes.POINTER(_scalar)),
-                _ctypes.byref(_ctypes.c_int(lda)),
-                B.ctypes.data_as(_ctypes.POINTER(_scalar)),
-                _ctypes.byref(_ctypes.c_int(ldb)),
-            )
+            lda = byref_int(max(L.strides[1] // itemsize, m))
+            a, b = L.ctypes.data_as(_ptr), B.ctypes.data_as(_ptr)
+            t = b"T" if trans else b"N"
+            if _level3:
+                ldb = byref_int(max(B.strides[1] // itemsize, m))
+                one = ctypes.byref(_scalar(1.0))
+                _fn(b"L", b"L", t, b"N", byref_int(m), byref_int(c), one, a, lda, b, ldb)
+            else:
+                _fn(b"L", t, b"N", byref_int(m), a, lda, b, byref_int(1))
             return B
 
-        handles[np.dtype(dtype)] = call
+        handles[routine, np.dtype(dtype)] = call
 
     # Self-test against a padded view (lda > n) before trusting the ABI.
-    for dtype, call in list(handles.items()):
+    for (routine, dtype), call in list(handles.items()):
         try:
             buf = np.zeros((5, 5), dtype=dtype, order="F")
             n = 3
             buf[:n, :n] = np.tril(np.arange(1.0, 10.0).reshape(n, n)) + np.eye(n)
             L = buf[:n, :n]
-            rhs = np.arange(1.0, 7.0).reshape(n, 2)
+            rhs = np.arange(1.0, 7.0).reshape(n, 2)[:, : 2 if routine.endswith("m") else 1]
             B = np.asfortranarray(rhs.astype(dtype))
             call(L, B, 0)
-            expect = np.linalg.solve(L.astype(np.float64), rhs)
+            L64 = L.astype(np.float64)
+            expect = np.linalg.solve(L64, rhs) if routine.startswith("trs") else L64 @ rhs
             if not np.allclose(B.astype(np.float64), expect, atol=1e-4):
                 raise AssertionError
         except Exception:  # pragma: no cover - foreign-ABI guard
-            del handles[dtype]
+            del handles[routine, dtype]
     return handles
 
 
-_LDA_TRSM = _load_lda_trsm()
+_LDA_TRIANGULAR = _load_lda_triangular()
+
+
+def _triangular(routine: str, L: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
+    """Run ``routine`` (``trsm``/``trmm``) on ``B``, one column through its level-2 twin."""
+    impl = _LDA_TRIANGULAR.get((routine[:3] + "v" if B.shape[1] == 1 else routine, L.dtype))
+    if impl is None:
+        impl = _LDA_TRIANGULAR.get((routine, L.dtype))
+    if (
+        impl is not None
+        and L.strides[0] == L.dtype.itemsize
+        and B.flags.f_contiguous
+        and B.dtype == L.dtype
+    ):
+        return impl(L, B, trans)
+    if not L.flags.f_contiguous:  # pragma: no cover - fallback path
+        L = np.asfortranarray(L)
+    (fn,) = _get_blas_funcs((routine,), (L, B))
+    return fn(1.0, L, B, side=0, lower=1, trans_a=trans)
 
 
 def _trsm(L: np.ndarray, B: np.ndarray, *, trans: int) -> np.ndarray:
@@ -174,27 +190,25 @@ def _trsm(L: np.ndarray, B: np.ndarray, *, trans: int) -> np.ndarray:
     SciPy wrappers spend more time on copies and validation than the
     O(n² c) solve itself, hence the direct dispatch.
     """
-    impl = _LDA_TRSM.get(L.dtype)
-    if (
-        impl is not None
-        and L.strides[0] == L.dtype.itemsize
-        and B.flags.f_contiguous
-        and B.dtype == L.dtype
-    ):
-        return impl(L, B, trans)
-    if not L.flags.f_contiguous:  # pragma: no cover - fallback path
-        L = np.asfortranarray(L)
-    (trsm,) = _get_blas_funcs(("trsm",), (L, B))
-    return trsm(1.0, L, B, side=0, lower=1, trans_a=trans)
+    return _triangular("trsm", L, B, trans)
+
+
+def _trmm(L: np.ndarray, B: np.ndarray, *, trans: int) -> np.ndarray:
+    """``L B`` (``trans=0``) or ``L^T B`` (``trans=1``), lower ``L``.
+
+    Same operands and zero-copy contract as :func:`_trsm`. It reads only
+    the lower triangle: half the memory traffic of a square product.
+    """
+    return _triangular("trmm", L, B, trans)
 
 from ..exceptions import DataError, InvalidParameterError
 from ..membudget import active_memory_budget
+from ..parallel.thread_pool import shared_pool
 from ..parameter import Parameter
 from .cg import conjugate_gradient, conjugate_gradient_block
 from .kernels import kernel_matrix, kernel_row, kernel_scalar
 from .precond import make_preconditioner, refresh_nystrom
 from .qmatrix import (
-    EXPLICIT_LIMIT,
     ExplicitQMatrix,
     QMatrixBase,
     _validate_training_data,
@@ -206,6 +220,10 @@ from .qmatrix import (
 
 __all__ = ["CholeskyKernelOperator", "IncrementalEngine", "IncrementalResult"]
 
+#: The engine keeps its dense Cholesky factor (``(m-1)^2 * 8`` bytes) up
+#: to this many rows and turns matrix-free beyond it.
+EXPLICIT_LIMIT = 4096
+
 #: Reuse the previous Nyström pivot set only while the appended chunk is
 #: at most this fraction of the accumulated rows (larger appends shift
 #: the spectrum enough that a fresh randomized pivot search pays off).
@@ -215,6 +233,16 @@ DEFAULT_REUSE_FRACTION = 0.25
 #: diagonal stays within this factor of the value it had when the
 #: factorization was (re)built.
 DIAG_SHIFT_BOUND = 2.0
+
+
+def _woodbury_columns(R: np.ndarray, q_bar: np.ndarray, dtype) -> np.ndarray:
+    """``[R, q_bar, 1]``, the block :meth:`CholeskyKernelOperator.solve_direct` forward-solves."""
+    n, c = R.shape
+    stacked = np.empty((n, c + 2), dtype=dtype, order="F")
+    stacked[:, :c] = R
+    stacked[:, c] = q_bar
+    stacked[:, c + 1] = 1.0
+    return stacked
 
 
 class CholeskyKernelOperator(QMatrixBase):
@@ -266,41 +294,42 @@ class CholeskyKernelOperator(QMatrixBase):
         self._L = L
 
     def _kernel_matvec(self, v: np.ndarray) -> np.ndarray:
-        # A v - ridge v = K_bar v; the base class re-adds the ridge inside
-        # the rank-one correction terms.
-        return self._L @ (self._L.T @ v) - self.inv_cost * v
+        return self._kernel_matvec_multi(v[:, None])[:, 0]
 
     def _kernel_matvec_multi(self, V: np.ndarray) -> np.ndarray:
-        return self._L @ (self._L.T @ V) - self.inv_cost * V
+        # A V - ridge V = K_bar V; the base class re-adds the ridge inside
+        # the rank-one correction terms.
+        B = np.array(V, dtype=self._L.dtype, order="F")
+        return _trmm(self._L, _trmm(self._L, B, trans=1), trans=0) - self.inv_cost * V
 
-    def solve_direct(self, rhs: np.ndarray) -> np.ndarray:
+    def solve_direct(
+        self, rhs: np.ndarray, forward: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Exact ``Q_tilde x = rhs`` via the factor and Woodbury.
 
-        One batched Cholesky solve against ``[rhs, q_bar, 1]`` and a 2x2
-        core system — O(n²) total, no iterations. Accepts a vector or an
-        ``(n, c)`` block of right-hand sides.
+        With ``A = L L^T`` and ``Y = L^{-1} [rhs, q_bar, 1]`` (one batched
+        forward solve), the Woodbury correction is a 2x2 core system in
+        ``Y``'s Gram products, so a single backward solve — of the
+        corrected ``rhs`` columns only — finishes it: O(n²) total, no
+        iterations. Accepts a vector or an ``(n, c)`` block of right-hand
+        sides; ``forward`` is ``Y`` when the caller already has it (an
+        append solves it together with the factor extension).
         """
         if _get_blas_funcs is None:  # pragma: no cover - guarded by the engine
             raise InvalidParameterError("solve_direct requires SciPy")
         rhs = np.asarray(rhs, dtype=self._L.dtype)
         vector = rhs.ndim == 1
         R = rhs[:, None] if vector else rhs
-        n, c = R.shape
-        stacked = np.empty((n, c + 2), dtype=self._L.dtype, order="F")
-        stacked[:, :c] = R
-        stacked[:, c] = self.q_bar
-        stacked[:, c + 1] = 1.0
-        Z = _trsm(self._L, _trsm(self._L, stacked, trans=0), trans=1)
-        Z_rhs, Z_u = Z[:, :c], Z[:, c:]
-        u_t_z_u = np.vstack([self.q_bar @ Z_u, Z_u.sum(axis=0)])
-        u_t_z_rhs = np.vstack([self.q_bar @ Z_rhs, Z_rhs.sum(axis=0)])
-        s_inv = np.array(
-            [[-self.q_mm, -1.0], [-1.0, 0.0]], dtype=np.float64
-        )
-        core = s_inv + u_t_z_u.astype(np.float64)
-        x = Z_rhs - Z_u @ np.linalg.solve(core, u_t_z_rhs.astype(np.float64)).astype(
-            self._L.dtype
-        )
+        c = R.shape[1]
+        Y = forward
+        if Y is None:
+            Y = _trsm(self._L, _woodbury_columns(R, self.q_bar, self._L.dtype), trans=0)
+        Y_rhs, Y_u = Y[:, :c], Y[:, c:]
+        s_inv = np.array([[-self.q_mm, -1.0], [-1.0, 0.0]], dtype=np.float64)
+        core = s_inv + (Y_u.T @ Y_u).astype(np.float64)
+        coef = np.linalg.solve(core, (Y_u.T @ Y_rhs).astype(np.float64))
+        x = np.asfortranarray(Y_rhs - Y_u @ coef.astype(self._L.dtype))
+        x = _trsm(self._L, x, trans=1)
         x = x.astype(self.dtype, copy=False)
         return x[:, 0] if vector else x
 
@@ -339,10 +368,6 @@ class IncrementalEngine:
         ``"nystrom"`` activates pivot reuse across updates.
     binary_labels:
         ``False`` for regression targets (skips the +/-1 label check).
-    explicit_limit:
-        Maintain the corrected dense system (bounded recompute) up to
-        this many rows; beyond it updates rebuild the matrix-free
-        operator and rely on the warm start alone.
     reuse_fraction:
         Chunk-size gate for Nyström pivot reuse (see
         :data:`DEFAULT_REUSE_FRACTION`).
@@ -359,7 +384,6 @@ class IncrementalEngine:
         solver_threads: Optional[int] = None,
         tile_cache_mb: Optional[float] = None,
         compute_dtype=None,
-        explicit_limit: int = EXPLICIT_LIMIT,
         reuse_fraction: float = DEFAULT_REUSE_FRACTION,
     ) -> None:
         self.param = param
@@ -370,7 +394,6 @@ class IncrementalEngine:
         self.solver_threads = solver_threads
         self.tile_cache_mb = tile_cache_mb
         self.compute_dtype = compute_dtype
-        self.explicit_limit = int(explicit_limit)
         self.reuse_fraction = float(reuse_fraction)
         self.X: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
@@ -432,7 +455,7 @@ class IncrementalEngine:
     # -- kernel maintenance --------------------------------------------------
 
     def _use_explicit(self, m: int) -> bool:
-        if m > self.explicit_limit:
+        if m > EXPLICIT_LIMIT:
             return False
         budget = active_memory_budget()
         if budget is not None:
@@ -476,13 +499,20 @@ class IncrementalEngine:
         return self._dense_buf[:n, :n]
 
     def _chunk_blocks(self, X_new: np.ndarray, m_old: int):
-        """The O(m k) new kernel entries: cross and corner blocks."""
+        """The O(m k) new kernel entries: cross and corner blocks.
+
+        The pool's workers fill the cross block's column blocks.
+        """
         kw = self.param.kernel_kwargs()
         kernel = self.param.kernel
         dtype = self.param.dtype
-        cross = kernel_matrix(X_new, self.X[:m_old], kernel, **kw).astype(
-            dtype, copy=False
-        )
+        cross = np.empty((X_new.shape[0], m_old), dtype=dtype)
+
+        def fill(cols) -> None:
+            points = self.X[cols.start:cols.stop]
+            cross[:, cols.start:cols.stop] = kernel_matrix(X_new, points, kernel, **kw)
+
+        shared_pool(self.solver_threads).map_blocks(fill, m_old)
         corner = kernel_matrix(X_new, X_new, kernel, **kw).astype(dtype, copy=False)
         return cross, corner
 
@@ -651,8 +681,8 @@ class IncrementalEngine:
             return None
         buf = self._ensure_chol_capacity(n)
         if self._chol_n:
-            # Reused buffer: clear every stale factor entry (the upper
-            # triangle of the live view must read as zeros for matvecs).
+            # Reused buffer: clear every stale factor entry, so the live
+            # view reads as a lower-triangular factor.
             high_water = max(self._chol_n, n)
             buf[:high_water, :high_water] = 0.0
         self._copy_lower(buf, factor, n)
@@ -661,9 +691,7 @@ class IncrementalEngine:
         self._k_mm = float(kernel_scalar(x_m, x_m, kernel, **kw))
         return self._make_chol_operator(y_col, buf[:n, :n])
 
-    def _grow_cholesky(
-        self, X_new: np.ndarray, old_rows: int, y_col: np.ndarray
-    ) -> Optional[CholeskyKernelOperator]:
+    def _grow_cholesky(self, X_new: np.ndarray, old_rows: int, y_col: np.ndarray, rhs):
         """Extend the factor of ``A`` by the appended rows.
 
         ``A``'s old block is static (no eliminated-point corrections), so
@@ -674,6 +702,11 @@ class IncrementalEngine:
         ``W^T`` strip and Schur corner. A numerically indefinite Schur
         block (accumulated roundoff after very many appends) triggers one
         full re-factorization instead of failing.
+
+        Returns the operator and ``Y = L^{-1} [rhs, q_bar, 1]`` for its
+        :meth:`~CholeskyKernelOperator.solve_direct` (``None`` after a
+        re-factorization): ``Y``'s old rows ride along in the ``W``
+        solve, which saves ``solve_direct`` a full forward solve.
         """
         inv_cost = 1.0 / self.param.cost
         k = X_new.shape[0]
@@ -684,9 +717,24 @@ class IncrementalEngine:
         raw = self._raw_new_rows(cross, corner)
         q_bar_new, k_mm_new = self._new_q_bar(cross, corner)
 
+        dtype = self.param.dtype
         buf = self._ensure_chol_capacity(n_new)
-        a12 = np.asfortranarray(raw[:, :n_old].T)
-        W = _trsm(buf[:n_old, :n_old], a12, trans=0)  # (n_old, k)
+        L11 = buf[:n_old, :n_old]
+        stacked = _woodbury_columns(rhs[:, None] if rhs.ndim == 1 else rhs, q_bar_new, dtype)
+        B = np.empty((n_old, k + stacked.shape[1]), dtype=dtype, order="F")
+        B[:, :k] = raw[:, :n_old].T
+        B[:, k:] = stacked[:n_old]
+
+        # The columns of B solve independently, so the pool's workers
+        # split this O(n² k) solve, the bulk of an append, by column blocks.
+        def solve(cols) -> None:
+            block = B[:, cols.start:cols.stop]
+            out = _trsm(L11, block, trans=0)
+            if out is not block:
+                block[...] = out
+
+        shared_pool(self.solver_threads).map_blocks(solve, B.shape[1])
+        W, Y_old = B[:, :k], B[:, k:]
         schur = np.array(raw[:, n_old:], dtype=self.param.dtype)
         schur[np.diag_indices(k)] += inv_cost
         schur -= W.T @ W
@@ -695,14 +743,20 @@ class IncrementalEngine:
             corner_factor = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
             self._chol_n = 0  # force a clean re-factorization
-            return self._bootstrap_cholesky(y_col)
+            return self._bootstrap_cholesky(y_col), None
         buf[n_old:n_new, :n_old] = W.T
         buf[n_old:n_new, n_old:n_new] = corner_factor
+        Y_new = _trsm(
+            np.asfortranarray(corner_factor),
+            np.asfortranarray(stacked[n_old:] - W.T @ Y_old),
+            trans=0,
+        )
 
         self._chol_n = n_new
         self._q_bar = q_bar_new
         self._k_mm = k_mm_new
-        return self._make_chol_operator(y_col, buf[:n_new, :n_new])
+        operator = self._make_chol_operator(y_col, buf[:n_new, :n_new])
+        return operator, np.vstack([Y_old, Y_new])
 
     # -- preconditioning -----------------------------------------------------
 
@@ -811,7 +865,8 @@ class IncrementalEngine:
         block = self.y.ndim == 2
         y_col = self.y[:, 0] if block else self.y
 
-        qmat = None
+        rhs = reduced_rhs(self.y)
+        qmat = forward = None
         if self._use_explicit(m):
             state_valid = (
                 old_rows > 0
@@ -820,7 +875,7 @@ class IncrementalEngine:
             )
             if self._chol_ok:
                 if state_valid and self._chol_n == old_rows - 1:
-                    qmat = self._grow_cholesky(X_new, old_rows, y_col)
+                    qmat, forward = self._grow_cholesky(X_new, old_rows, y_col, rhs)
                 else:
                     qmat = self._bootstrap_cholesky(y_col)
                 # qmat is None when the factorization failed: fall through
@@ -837,7 +892,6 @@ class IncrementalEngine:
                 self.X,
                 y_col,
                 self.param,
-                implicit=True,
                 solver_threads=self.solver_threads,
                 tile_cache_mb=self.tile_cache_mb,
                 compute_dtype=self.compute_dtype,
@@ -848,13 +902,12 @@ class IncrementalEngine:
         self.X = qmat.X
         self.param = qmat.param
 
-        rhs = reduced_rhs(self.y)
         prev_alpha = self._alpha
         if isinstance(qmat, CholeskyKernelOperator):
             # The maintained factor solves the new system outright; CG
             # degenerates to a residual check (0 iterations up to
             # factorization roundoff) that certifies the direct solve.
-            x0 = qmat.solve_direct(rhs)
+            x0 = qmat.solve_direct(rhs, forward)
         else:
             # The previous full alpha (eliminated point recovered) maps
             # verbatim onto the leading entries of the new unknown.

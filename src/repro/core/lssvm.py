@@ -50,7 +50,6 @@ from .incremental import IncrementalEngine
 from .model import FeatureMapModel, LSSVMModel
 from .precond import make_preconditioner
 from .qmatrix import (
-    EXPLICIT_LIMIT,
     build_reduced_system,
     recover_bias_and_alpha,
     reduced_rhs,
@@ -198,7 +197,6 @@ def _solve_lssvm(
     resources: ResourceConfig,
     *,
     estimator: str,
-    implicit: Optional[bool] = None,
     backend=None,
     sparse: bool = False,
     ridge: Optional[np.ndarray] = None,
@@ -265,7 +263,6 @@ def _solve_lssvm(
                             CSRMatrix.from_dense(X) if sparse else X,
                             T[:, 0] if block else T,
                             param,
-                            implicit=implicit,
                             solver_threads=resources.solver_threads,
                             tile_cache_mb=resources.tile_cache_mb,
                             compute_dtype=resources.compute_dtype,
@@ -378,7 +375,6 @@ def _append_lssvm(
     resources: ResourceConfig,
     *,
     estimator: str,
-    implicit: Optional[bool] = None,
     backend=None,
     sparse: bool = False,
     binary_labels: bool = True,
@@ -425,7 +421,6 @@ def _append_lssvm(
             solver_threads=resources.solver_threads,
             tile_cache_mb=resources.tile_cache_mb,
             compute_dtype=resources.compute_dtype,
-            explicit_limit={True: 0, False: 2**62}.get(implicit, EXPLICIT_LIMIT),
         )
         if previous is not None:
             if previous.targets is None:
@@ -443,9 +438,9 @@ def _append_lssvm(
         **({"classes": T.shape[1]} if T.ndim == 2 else {}),
     ) as ctx:
         with memory_budget(resources.memory_budget_mb), timings.section("total"):
-            # The Cholesky extension and triangular solves run outside any
-            # pool map; one BLAS thread each beats OpenBLAS's default team
-            # on them as it does on the pool's tiles.
+            # Every BLAS call of the refit runs on one thread: the pool's
+            # workers split the factor extension, and OpenBLAS's default
+            # team made the refit slower and noisier, as on the tiles.
             with timings.section("refit"), ctx.span(
                 "refit", new_rows=X.shape[0], total_rows=engine.num_rows + X.shape[0]
             ), blas_cap:
@@ -563,9 +558,6 @@ class LSSVC(ParamsMixin):
         kernel (§III-C5).
     dtype:
         Working precision, ``float64`` (default) or ``float32``.
-    implicit:
-        Force the matrix-free (``True``) or explicit (``False``) reduced
-        system on the NumPy path; ``None`` selects by problem size.
     solver:
         Solver strategy: ``"cg"`` (exact, the default), ``"nystrom"``
         (direct rank-``r`` Woodbury solve of the RPCholesky-factored
@@ -595,9 +587,6 @@ class LSSVC(ParamsMixin):
     precond_rng:
         Seed / generator for the randomized pivot sampling (default 0 for
         reproducible fits).
-    jacobi:
-        Deprecated alias for ``precondition="jacobi"`` (kept for
-        back-compat with the ablation benchmarks).
     sparse:
         Run the CG matvecs on a CSR representation of the data — the
         paper's "sparse data structures for the CG solver" future-work
@@ -634,10 +623,11 @@ class LSSVC(ParamsMixin):
         :func:`repro.core.resilience.resilient_solve`).
     memory_budget_mb:
         Hard training-memory budget in MiB. Activates the budget for the
-        duration of :meth:`fit`: the explicit reduced system refuses to
-        materialize past it, operator selection turns matrix-free, and
-        chunked row sources size their streaming blocks against it. The
-        realized peak RSS lands in ``report_.peak_rss_bytes``.
+        duration of :meth:`fit`: the default tile cache is clamped to a
+        quarter of it, chunked row sources size their streaming blocks
+        against it, and :meth:`partial_fit` keeps the incremental
+        engine's dense factor only while twice its size stays within it.
+        The realized peak RSS lands in ``report_.peak_rss_bytes``.
     shard_rows:
         Split the reduced system into this many sample row-shards and run
         CG matvecs shard-by-shard through the row-shard partition of
@@ -684,7 +674,6 @@ class LSSVC(ParamsMixin):
         target: Union[str, TargetPlatform] = TargetPlatform.AUTOMATIC,
         n_devices: int = 1,
         dtype=np.float64,
-        implicit: Optional[bool] = None,
         solver: str = "cg",
         solver_rank: Optional[int] = None,
         solver_seed: Union[None, int, np.random.Generator] = 0,
@@ -692,7 +681,6 @@ class LSSVC(ParamsMixin):
         precondition: Union[None, str, object] = None,
         precond_rank: Optional[int] = None,
         precond_rng: Union[None, int, np.random.Generator] = 0,
-        jacobi: bool = False,
         sparse: bool = False,
         solver_threads: Optional[int] = None,
         tile_cache_mb: Optional[float] = None,
@@ -720,7 +708,6 @@ class LSSVC(ParamsMixin):
         self.backend = backend
         self.target = target
         self.n_devices = n_devices
-        self.implicit = implicit
         self.solver = solver
         self.solver_rank = solver_rank
         self.solver_seed = solver_seed
@@ -728,7 +715,6 @@ class LSSVC(ParamsMixin):
         self.precondition = precondition
         self.precond_rank = precond_rank
         self.precond_rng = precond_rng
-        self.jacobi = jacobi
         self.sparse = sparse
         self.solver_threads = solver_threads
         self.tile_cache_mb = tile_cache_mb
@@ -780,17 +766,6 @@ class LSSVC(ParamsMixin):
         if self.n_devices < 1:
             raise DataError("n_devices must be positive")
         self.n_devices = int(self.n_devices)
-        if (
-            self.jacobi
-            and self.precondition is not None
-            and self.precondition != "jacobi"
-        ):
-            raise DataError(
-                f"jacobi=True conflicts with precondition={self.precondition!r}; "
-                "drop the legacy flag"
-            )
-        if self.jacobi and self.precondition is None:
-            self.precondition = "jacobi"
         self.sparse = bool(self.sparse)
         _check_options(self)
         self._backend_instance = None
@@ -845,7 +820,6 @@ class LSSVC(ParamsMixin):
             self.param,
             *_configs(self),
             estimator="LSSVC",
-            implicit=self.implicit,
             backend=self._resolve_backend(),
             sparse=self.sparse,
             warm_from=self._solution if self.warm_start else None,
@@ -900,7 +874,6 @@ class LSSVC(ParamsMixin):
             self.param,
             *_configs(self),
             estimator="LSSVC",
-            implicit=self.implicit,
             backend=self.backend,
             sparse=self.sparse,
         )

@@ -106,7 +106,6 @@ class _MulticlassBase(ParamsMixin):
         degree: int = 3,
         coef0: float = 0.0,
         epsilon: float = 1e-3,
-        implicit: Optional[bool] = None,
         precondition: Union[None, str, object] = None,
         precond_rank: Optional[int] = None,
         compute_dtype=None,
@@ -128,7 +127,6 @@ class _MulticlassBase(ParamsMixin):
         self.degree = degree
         self.coef0 = coef0
         self.epsilon = epsilon
-        self.implicit = implicit
         self.precondition = precondition
         self.precond_rank = precond_rank
         self.compute_dtype = compute_dtype
@@ -190,7 +188,6 @@ class _MulticlassBase(ParamsMixin):
             degree=self.degree,
             coef0=self.coef0,
             epsilon=self.epsilon,
-            implicit=self.implicit,
             config=SolverConfig(
                 solver=self.solver,
                 solver_rank=self.solver_rank,
@@ -247,7 +244,6 @@ class OneVsAllLSSVC(_MulticlassBase):
         degree: int = 3,
         coef0: float = 0.0,
         epsilon: float = 1e-3,
-        implicit: Optional[bool] = None,
         precondition: Union[None, str, object] = None,
         precond_rank: Optional[int] = None,
         compute_dtype=None,
@@ -273,7 +269,6 @@ class OneVsAllLSSVC(_MulticlassBase):
             degree=degree,
             coef0=coef0,
             epsilon=epsilon,
-            implicit=implicit,
             precondition=precondition,
             precond_rank=precond_rank,
             compute_dtype=compute_dtype,
@@ -307,7 +302,6 @@ class OneVsAllLSSVC(_MulticlassBase):
                 self.param,
                 *_configs(self),
                 estimator="OneVsAllLSSVC",
-                implicit=self.implicit,
                 warm_from=self._solution if self.warm_start else None,
             )
             machines = self._attach(solution, [self._make_estimator() for _ in classes])
@@ -379,7 +373,6 @@ class OneVsAllLSSVC(_MulticlassBase):
             self.param,
             *_configs(self),
             estimator="OneVsAllLSSVC",
-            implicit=self.implicit,
         )
         if step is None:
             return self

@@ -14,11 +14,10 @@ with (Eq. 16)
 
 Two realizations are provided:
 
-* :class:`ExplicitQMatrix` materializes the full matrix — O(m²) memory,
-  used for small problems, tests, and as the ground truth the implicit
-  variant is verified against.
-* :class:`ImplicitQMatrix` is matrix-free (§III-B): each matvec recomputes
-  the kernel entries on the fly. The ``q`` vector ``q_bar[i] = k(x_i, x_m)``
+* :class:`ImplicitQMatrix` is matrix-free (§III-B) and the operator every
+  training fit solves against (:func:`build_reduced_system`): each matvec
+  recomputes the kernel entries on the fly, or replays them from the
+  pipeline's tile cache. The ``q`` vector ``q_bar[i] = k(x_i, x_m)``
   is precomputed once (§III-C2, "Caching"), which turns the three kernel
   evaluations per entry into one. For the linear kernel the matvec
   collapses into two BLAS-2 products against the data matrix
@@ -27,6 +26,10 @@ Two realizations are provided:
   array, CSR matrix, row source) and an optional row-shard partition pick
   how the kernel product is formed, and every kernel tile goes through
   :class:`repro.core.tile_pipeline.TilePipeline`.
+* :class:`ExplicitQMatrix` materializes the full matrix — O(m²) memory.
+  It is the dense oracle the implicit operator is verified against, the
+  explicit row of the host ablation and the incremental engine's dense
+  fallback without SciPy.
 
 Both classes share the rank-one correction algebra
 
@@ -59,11 +62,6 @@ __all__ = [
     "reduced_rhs",
     "recover_bias_and_alpha",
 ]
-
-#: Materializing Q_tilde above this many training points is refused by
-#: :func:`build_reduced_system`'s automatic mode (the matrix would need
-#: ``(m-1)^2 * 8`` bytes).
-EXPLICIT_LIMIT = 4096
 
 #: Default row-block height of the streaming protocol
 #: (:meth:`QMatrixBase.iter_row_blocks`).
@@ -307,9 +305,8 @@ class QMatrixBase(abc.ABC):
 
         ``Q_tilde[i, i] = k(x_i, x_i) + ridge_i - 2 q_bar_i + q_mm`` — the
         single source of truth shared by Jacobi/Nyström preconditioner
-        setup, the classifier's legacy ``jacobi=True`` path, and the
-        multi-class block solve. Computed block-wise via the row-block
-        protocol so it holds for streaming operators too.
+        setup and the multi-class block solve. Computed block-wise via the
+        row-block protocol so it holds for streaming operators too.
         """
         kw = self.param.kernel_kwargs()
         diag = np.empty(self.shape[0], dtype=self.dtype)
@@ -356,8 +353,8 @@ class ExplicitQMatrix(QMatrixBase):
                 f"{n}x{n} reduced system: {estimate} bytes "
                 f"({format_bytes(estimate)}) for m={n + 1} training points "
                 f"exceeds the active memory budget of {format_bytes(budget)}. "
-                f"Use the implicit operator "
-                f"(implicit=True / shard_rows), or raise --memory-budget-mb."
+                f"Train through the matrix-free ImplicitQMatrix "
+                f"(build_reduced_system), or raise --memory-budget-mb."
             )
         kw = self.param.kernel_kwargs()
         K = kernel_matrix(self.X_bar, self.X_bar, self.param.kernel, **kw)
@@ -759,7 +756,6 @@ def build_reduced_system(
     y: np.ndarray,
     param: Parameter,
     *,
-    implicit: Optional[bool] = None,
     tile_rows: int = 1024,
     solver_threads: Optional[int] = None,
     tile_cache_mb: Optional[float] = None,
@@ -768,61 +764,36 @@ def build_reduced_system(
     shard_size: Optional[int] = None,
     ridge: Optional[np.ndarray] = None,
     binary_labels: bool = True,
-) -> Tuple[QMatrixBase, np.ndarray]:
+) -> Tuple[ImplicitQMatrix, np.ndarray]:
     """Assemble ``(Q_tilde, rhs)`` for the given training data.
 
-    ``implicit=None`` selects automatically: explicit assembly for up to
-    :data:`EXPLICIT_LIMIT` points (a dense solve's memory is then harmless
-    and matvecs are fastest), matrix-free beyond that — the same trade-off
-    that forces the paper's GPU kernels to recompute entries on the fly.
-    When an active memory budget (see :mod:`repro.membudget`) is too small
-    for the dense system, the automatic mode also picks the matrix-free
-    path. ``solver_threads`` / ``tile_cache_mb`` / ``compute_dtype``
-    configure the implicit operator's tile pipeline (ignored for the
-    explicit path).
+    Every training fit solves against the matrix-free
+    :class:`ImplicitQMatrix` (§III-B), at any size: its tile cache keeps
+    the kernel values a dense Q_tilde would hold, within a byte budget.
+    ``solver_threads`` / ``tile_cache_mb`` / ``compute_dtype`` configure
+    the operator's tile pipeline; an active memory budget (see
+    :mod:`repro.membudget`) clamps the default tile cache.
 
     ``X`` may also be a :class:`repro.sparse.CSRMatrix` or a row source
-    (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``); that,
-    or a ``shard_rows`` / ``shard_size`` partition, always selects the
-    matrix-free :class:`ImplicitQMatrix`. ``ridge`` / ``binary_labels``
-    pass through to the operator (per-point ridges of the weighted LS-SVM,
-    real-valued regression targets).
-
-    This is the one place that picks an operator for a training fit.
+    (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``), and
+    ``shard_rows`` / ``shard_size`` partition the operator into row
+    shards. ``ridge`` / ``binary_labels`` pass through to the operator
+    (per-point ridges of the weighted LS-SVM, real-valued regression
+    targets).
     """
-    from ..io.chunked import is_row_source
-
-    if (
-        isinstance(X, CSRMatrix)
-        or is_row_source(X)
-        or shard_rows is not None
-        or shard_size is not None
-    ):
-        implicit = True
-    elif implicit is None:
-        m = np.asarray(X).shape[0]
-        implicit = m > EXPLICIT_LIMIT
-        if not implicit:
-            budget = active_memory_budget()
-            dense_bytes = (m - 1) * (m - 1) * np.dtype(param.dtype).itemsize
-            if budget is not None and dense_bytes > budget:
-                implicit = True
-    if implicit:
-        q: QMatrixBase = ImplicitQMatrix(
-            X,
-            y,
-            param,
-            tile_rows=tile_rows,
-            solver_threads=solver_threads,
-            tile_cache_mb=tile_cache_mb,
-            compute_dtype=compute_dtype,
-            num_shards=shard_rows,
-            shard_size=shard_size,
-            ridge=ridge,
-            binary_labels=binary_labels,
-        )
-    else:
-        q = ExplicitQMatrix(X, y, param, ridge=ridge, binary_labels=binary_labels)
+    q = ImplicitQMatrix(
+        X,
+        y,
+        param,
+        tile_rows=tile_rows,
+        solver_threads=solver_threads,
+        tile_cache_mb=tile_cache_mb,
+        compute_dtype=compute_dtype,
+        num_shards=shard_rows,
+        shard_size=shard_size,
+        ridge=ridge,
+        binary_labels=binary_labels,
+    )
     return q, q.rhs()
 
 

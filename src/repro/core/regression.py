@@ -67,7 +67,6 @@ class LSSVR(ParamsMixin):
         epsilon: float = 1e-6,
         max_iter: Optional[int] = None,
         dtype=np.float64,
-        implicit: Optional[bool] = None,
         solver: str = "cg",
         solver_rank: Optional[int] = None,
         solver_seed: Union[None, int, np.random.Generator] = 0,
@@ -83,7 +82,6 @@ class LSSVR(ParamsMixin):
         self.epsilon = epsilon
         self.max_iter = max_iter
         self.dtype = dtype
-        self.implicit = implicit
         self.solver = solver
         self.solver_rank = solver_rank
         self.solver_seed = solver_seed
@@ -125,7 +123,6 @@ class LSSVR(ParamsMixin):
             self.param,
             *_configs(self),
             estimator="LSSVR",
-            implicit=self.implicit,
             binary_labels=False,
             warm_from=self._solution if self.warm_start else None,
         )
@@ -164,7 +161,6 @@ class LSSVR(ParamsMixin):
             self.param,
             *_configs(self),
             estimator="LSSVR",
-            implicit=self.implicit,
             binary_labels=False,
         )
         if step is not None:

@@ -89,7 +89,6 @@ class WeightedLSSVC:
         c2: float = 3.0,
         v_min: float = 1e-4,
         stages: int = 2,
-        implicit: Optional[bool] = None,
     ) -> None:
         if stages < 1:
             raise InvalidParameterError("stages must be >= 1")
@@ -99,7 +98,6 @@ class WeightedLSSVC:
         )
         self.c1, self.c2, self.v_min = c1, c2, v_min
         self.stages = int(stages)
-        self.implicit = implicit
         self.model_: Optional[LSSVMModel] = None
         self.weights_: Optional[np.ndarray] = None
         self.timings_ = ComponentTimer()
@@ -117,7 +115,6 @@ class WeightedLSSVC:
                 self.param,
                 *_configs(self),
                 estimator="WeightedLSSVC",
-                implicit=self.implicit,
                 ridge=ridge,
             )
             timings.merge(solution.timings)

@@ -51,9 +51,7 @@ EPSILON = 1e-3
 def _fresh_cpu_solvers() -> Dict[str, object]:
     """One new instance of every CPU contender (Fig. 1a/1b series)."""
     return {
-        # implicit=True: the matrix-free path of §III-B (the paper's
-        # algorithm); the explicit-assembly shortcut would distort slopes.
-        "plssvm": LSSVC(kernel="linear", C=1.0, epsilon=EPSILON, implicit=True),
+        "plssvm": LSSVC(kernel="linear", C=1.0, epsilon=EPSILON),
         "libsvm": LibSVMClassifier(kernel="linear", C=1.0, eps=EPSILON, layout="sparse"),
         "libsvm_dense": LibSVMClassifier(
             kernel="linear", C=1.0, eps=EPSILON, layout="dense"

@@ -5,9 +5,11 @@ byte budget (``LSSVC(memory_budget_mb=...)`` / ``plssvm-train
 --memory-budget-mb``).  Two small pieces make that promise enforceable:
 
 * an *active budget* — a context-scoped byte limit that allocation-heavy
-  code paths (``ExplicitQMatrix``, :func:`repro.core.qmatrix.build_reduced_system`,
-  :class:`repro.io.chunked.ChunkedDataset`) consult before materializing
-  large arrays, and
+  code paths consult before materializing large arrays (``ExplicitQMatrix``
+  refuses a dense system past it; the tile pipeline clamps its default
+  cache to a quarter of it; the incremental engine turns matrix-free once
+  its dense factor would not fit; :class:`repro.io.chunked.ChunkedDataset`
+  sizes its blocks against it), and
 * a *peak-RSS gauge* — the process's own high-water mark (``VmHWM`` on
   Linux, ``getrusage`` elsewhere) sampled into the telemetry context at
   phase boundaries and CG checkpoints, so the ``TrainingReport`` can

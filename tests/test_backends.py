@@ -299,7 +299,7 @@ class TestDeviceSetChangesNoValue:
 
     def test_cuda_device_counts_match_the_implicit_fit(self, planes):
         X, y = planes
-        ref = self._fit(X, y, implicit=True)
+        ref = self._fit(X, y)
         for k in (1, 2, 3, 4):
             clf = self._fit(X, y, backend="cuda", n_devices=k)
             assert clf.iterations_ == ref.iterations_
@@ -309,7 +309,7 @@ class TestDeviceSetChangesNoValue:
         from repro.backends.heterogeneous import HeterogeneousCSVM
 
         X, y = planes
-        ref = self._fit(X, y, implicit=True)
+        ref = self._fit(X, y)
         for balanced in (False, True):
             backend = HeterogeneousCSVM(["nvidia_a100", "nvidia_v100"], balanced=balanced)
             clf = self._fit(X, y, backend=backend)

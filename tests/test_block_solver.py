@@ -338,7 +338,7 @@ class TestTriangularSweep:
         X, y = make_planes(1100, 8, rng=3)
         alphas = [
             LSSVC(
-                kernel="rbf", C=1.0, implicit=True,
+                kernel="rbf", C=1.0,
                 resources=ResourceConfig(solver_threads=threads, tile_cache_mb=tile_cache_mb),
             ).fit(X, y).model_.alpha
             for threads in (1, 2, 3)
@@ -446,7 +446,7 @@ class TestSolverCounters:
 
     def test_shared_multiclass_fit_populates_counters(self):
         X, y = make_multiclass(150, 6, num_classes=3, rng=2)
-        clf = OneVsAllLSSVC(kernel="rbf", C=10.0, implicit=True)
+        clf = OneVsAllLSSVC(kernel="rbf", C=10.0)
         clf.fit(X, y)
         counters = root_context().solver_counters_dict()
         assert counters["tile_sweeps"] > 0

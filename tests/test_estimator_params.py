@@ -1,7 +1,7 @@
 """Tests for the sklearn parameter protocol: ``get_params``/``set_params``/``clone``.
 
-Covers round-trips through normalized constructor arguments (enums,
-``jacobi=True``), solver knobs from the tile-pipeline / preconditioning /
+Covers round-trips through normalized constructor arguments (enums),
+solver knobs from the tile-pipeline / preconditioning /
 resilience work, and the model-selection helpers accepting estimator
 instances as prototypes.
 """
@@ -65,8 +65,8 @@ class TestSetParams:
         from repro.exceptions import PLSSVMError
 
         clf = LSSVC()
-        with pytest.raises(PLSSVMError, match="jacobi=True conflicts"):
-            clf.set_params(jacobi=True, precondition="nystrom")
+        with pytest.raises(PLSSVMError, match="precondition applies to solver='cg' only"):
+            clf.set_params(solver="nystrom", precondition="jacobi")
 
     def test_empty_call_is_noop(self):
         clf = LSSVC(C=2.0)
@@ -95,11 +95,10 @@ class TestClone:
         assert fresh.get_params() == est.get_params()
 
     def test_normalized_values_survive(self):
-        est = LSSVC(kernel=2, target="gpu_nvidia", jacobi=True)
+        est = LSSVC(kernel=2, target="gpu_nvidia")
         fresh = clone(est)
         assert fresh.get_params() == est.get_params()
         assert fresh.target is TargetPlatform.GPU_NVIDIA
-        assert fresh.precondition == "jacobi"
 
     def test_clone_is_unfitted(self, planes_small):
         X, y = planes_small
@@ -111,7 +110,7 @@ class TestClone:
         np.testing.assert_allclose(fresh.predict(X), est.predict(X))
 
     def test_lssvr_round_trip(self):
-        est = LSSVR(kernel="rbf", C=100.0, gamma=1.0, implicit=False)
+        est = LSSVR(kernel="rbf", C=100.0, gamma=1.0)
         assert clone(est).get_params() == est.get_params()
 
     def test_multiclass_round_trip(self):

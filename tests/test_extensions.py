@@ -61,12 +61,20 @@ class TestLSSVR:
         assert tight.score(X, y) > loose.score(X, y)
 
     def test_implicit_matches_explicit(self):
+        # The matrix-free fit against a dense solve of the explicit Q_tilde.
+        from repro.core.qmatrix import ExplicitQMatrix, recover_bias_and_alpha
+
         rng = np.random.default_rng(3)
         X = rng.standard_normal((60, 2))
         y = X[:, 0] ** 2
-        a = LSSVR(kernel="rbf", C=10.0, gamma=0.5, epsilon=1e-12, implicit=False).fit(X, y)
-        b = LSSVR(kernel="rbf", C=10.0, gamma=0.5, epsilon=1e-12, implicit=True).fit(X, y)
-        assert np.allclose(a.alpha_, b.alpha_, atol=1e-8)
+        reg = LSSVR(kernel="rbf", C=10.0, gamma=0.5, epsilon=1e-12).fit(X, y)
+        dense = ExplicitQMatrix(
+            X, y, Parameter(kernel="rbf", cost=10.0, gamma=0.5), binary_labels=False
+        )
+        alpha, _ = recover_bias_and_alpha(
+            dense, np.linalg.solve(dense.to_dense(), dense.rhs())
+        )
+        assert np.allclose(reg.alpha_, alpha, atol=1e-8)
 
     def test_alpha_sums_to_zero(self):
         rng = np.random.default_rng(4)

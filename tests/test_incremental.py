@@ -172,7 +172,7 @@ class TestIncrementalEngine:
         assert buf.shape[0] >= n
         L = buf[:n, :n]
         # The live view must be a valid lower factor with a zeroed upper
-        # triangle (matvecs use the full square product).
+        # triangle.
         assert np.allclose(np.triu(L, 1), 0.0)
         A = L @ L.T
         assert np.all(np.isfinite(A))
@@ -185,12 +185,15 @@ class TestIncrementalEngine:
         buf[:n, :n] = np.linalg.cholesky(M @ M.T + n * np.eye(n))
         L = buf[:n, :n]
         rhs = rng.normal(size=(n, 3))
-        B = np.asfortranarray(rhs.copy())
-        out = incremental._trsm(L, B, trans=0)
-        np.testing.assert_allclose(out, np.linalg.solve(L, rhs), atol=1e-10)
-        B2 = np.asfortranarray(rhs.copy())
-        out2 = incremental._trsm(L, B2, trans=1)
-        np.testing.assert_allclose(out2, np.linalg.solve(L.T, rhs), atol=1e-10)
+        # One column runs through the level-2 twins; trmm reads L the same way.
+        for cols in (rhs, rhs[:, :1]):
+            for trans, op in ((0, L), (1, L.T)):
+                B = np.asfortranarray(cols.copy())
+                out = incremental._trsm(L, B, trans=trans)
+                np.testing.assert_allclose(out, np.linalg.solve(op, cols), atol=1e-10)
+                B = np.asfortranarray(cols.copy())
+                out = incremental._trmm(L, B, trans=trans)
+                np.testing.assert_allclose(out, op @ cols, atol=1e-10)
 
     def test_solve_direct_residual(self):
         X, y = make_planes(110, 4, rng=6)

@@ -124,22 +124,33 @@ class TestSat6EndToEnd:
 
 
 class TestLargeImplicitPath:
-    def test_training_beyond_explicit_limit_uses_implicit(self):
-        from repro.core.qmatrix import EXPLICIT_LIMIT
+    def test_training_beyond_explicit_limit_uses_implicit(self, monkeypatch):
+        from repro.core import lssvm
+        from repro.core.incremental import EXPLICIT_LIMIT
+        from repro.core.qmatrix import ImplicitQMatrix
 
-        # Force the automatic threshold with a small override via implicit=None
-        # on a problem bigger than the explicit limit would be too slow in CI;
-        # instead verify the switch logic directly around a reduced limit.
-        X, y = make_planes(64, 4, rng=24)
-        clf_auto = LSSVC(kernel="linear")
-        clf_auto.fit(X, y)
-        assert clf_auto.score(X, y) > 0.85
-        assert EXPLICIT_LIMIT > 64  # auto picked the explicit path here
+        # Past the incremental engine's dense limit, as at any size, a
+        # batch fit solves against the matrix-free operator; the linear
+        # kernel keeps its matvec O(m d).
+        operators = []
+        build = lssvm.build_reduced_system
+
+        def spy(*args, **kwargs):
+            qmat, rhs = build(*args, **kwargs)
+            operators.append(type(qmat))
+            return qmat, rhs
+
+        monkeypatch.setattr(lssvm, "build_reduced_system", spy)
+        X, y = make_planes(EXPLICIT_LIMIT + 4, 4, rng=24)
+        clf = LSSVC(kernel="linear").fit(X, y)
+        assert clf.score(X, y) > 0.85
+        assert operators == [ImplicitQMatrix]
 
     def test_implicit_path_with_nonlinear_kernel_and_tiling(self):
         X, y = make_planes(200, 16, rng=25)
-        clf = LSSVC(kernel="rbf", C=10.0, implicit=True).fit(X, y)
+        clf = LSSVC(kernel="rbf", C=10.0).fit(X, y)
         assert clf.score(X, y) > 0.9
+        assert clf.report_.counters["tile_sweeps"] > 0
 
 
 class TestDeterminism:

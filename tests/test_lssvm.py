@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.lssvm import LSSVC, decode_labels, encode_labels
+from repro.core.qmatrix import ExplicitQMatrix, recover_bias_and_alpha
 from repro.data.synthetic import make_planes
 from repro.exceptions import DataError, NotFittedError
+from repro.parameter import Parameter, SolverConfig
 from repro.types import SolverStatus
 
 
@@ -174,18 +176,24 @@ class TestPrecision:
 
 class TestImplicitExplicit:
     def test_same_model_either_representation(self, planes_small):
+        # The matrix-free fit against a dense solve of the explicit Q_tilde.
         X, y = planes_small
-        exp = LSSVC(kernel="linear", implicit=False, epsilon=1e-10).fit(X, y)
-        imp = LSSVC(kernel="linear", implicit=True, epsilon=1e-10).fit(X, y)
-        assert exp.model_.bias == pytest.approx(imp.model_.bias, abs=1e-6)
-        assert np.allclose(exp.model_.alpha, imp.model_.alpha, atol=1e-5)
+        imp = LSSVC(kernel="linear", epsilon=1e-10).fit(X, y)
+        dense = ExplicitQMatrix(X, encode_labels(y)[0], Parameter(kernel="linear"))
+        alpha, bias = recover_bias_and_alpha(
+            dense, np.linalg.solve(dense.to_dense(), dense.rhs())
+        )
+        assert imp.model_.bias == pytest.approx(bias, abs=1e-6)
+        assert np.allclose(imp.model_.alpha, alpha, atol=1e-5)
 
 
 class TestJacobi:
     def test_jacobi_converges_to_same_solution(self, planes_small):
         X, y = planes_small
         plain = LSSVC(kernel="linear", epsilon=1e-10).fit(X, y)
-        jacobi = LSSVC(kernel="linear", epsilon=1e-10, jacobi=True).fit(X, y)
+        jacobi = LSSVC(
+            kernel="linear", epsilon=1e-10, config=SolverConfig(precondition="jacobi")
+        ).fit(X, y)
         assert np.allclose(plain.model_.alpha, jacobi.model_.alpha, atol=1e-5)
 
 

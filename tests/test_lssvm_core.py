@@ -7,7 +7,8 @@ These tests pin what that sharing promises:
 * the trace points the benchmark's tracer patches stay where it looks;
 * a rejected ``partial_fit`` chunk leaves the stream untouched, for every
   estimator;
-* a fitted estimator keeps no operator (and so no tile cache);
+* a fitted estimator keeps no operator (and so no tile cache), and no
+  fit builds the dense Q_tilde;
 * behaviour that the per-estimator copies used to differ in is uniform:
   telemetry phases, option checks, warm starts;
 * the estimators agree with each other on the same system.
@@ -23,8 +24,8 @@ import pytest
 
 import repro.core.lssvm as lssvm
 from repro.core.lssvm import LSSVC
-from repro.core.multiclass import OneVsAllLSSVC
-from repro.core.qmatrix import QMatrixBase
+from repro.core.multiclass import OneVsAllLSSVC, OneVsOneLSSVC
+from repro.core.qmatrix import ExplicitQMatrix, QMatrixBase
 from repro.core.regression import LSSVR
 from repro.core.weighted import WeightedLSSVC
 from repro.data.synthetic import make_multiclass, make_planes
@@ -150,18 +151,17 @@ class TestRejectedChunk:
 
 
 class TestNoOperatorKept:
-    @pytest.mark.parametrize("implicit", [False, True])
     @pytest.mark.parametrize(
         "make",
         [
-            lambda implicit: LSSVC(kernel="rbf", C=10.0, implicit=implicit),
-            lambda implicit: LSSVR(kernel="rbf", C=10.0, implicit=implicit),
-            lambda implicit: OneVsAllLSSVC(kernel="rbf", C=10.0, implicit=implicit),
-            lambda implicit: WeightedLSSVC(kernel="rbf", C=10.0, implicit=implicit),
+            lambda: LSSVC(kernel="rbf", C=10.0),
+            lambda: LSSVR(kernel="rbf", C=10.0),
+            lambda: OneVsAllLSSVC(kernel="rbf", C=10.0),
+            lambda: WeightedLSSVC(kernel="rbf", C=10.0),
         ],
         ids=["LSSVC", "LSSVR", "OneVsAllLSSVC", "WeightedLSSVC"],
     )
-    def test_fit_operator_is_collectable(self, monkeypatch, make, implicit):
+    def test_fit_operator_is_collectable(self, monkeypatch, make):
         operators = []
         original = QMatrixBase._finish_init
 
@@ -171,11 +171,61 @@ class TestNoOperatorKept:
 
         monkeypatch.setattr(QMatrixBase, "_finish_init", spy)
         X, y = make_multiclass(90, 4, num_classes=3, rng=2)
-        y = y if isinstance(make(implicit), OneVsAllLSSVC) else np.where(y > 0, 1.0, -1.0)
-        est = make(implicit).fit(X, y)
+        y = y if isinstance(make(), OneVsAllLSSVC) else np.where(y > 0, 1.0, -1.0)
+        est = make().fit(X, y)
         gc.collect()
         assert operators
         assert all(ref() is None for ref in operators)
+        assert est.predict(X[:3]).shape == (3,)
+
+
+def _spy_dense_systems(monkeypatch):
+    """Record the shape of every ExplicitQMatrix built from now on."""
+    built = []
+    original = ExplicitQMatrix.__init__
+
+    def spy(self, X, *args, **kwargs):
+        built.append(np.shape(X))
+        original(self, X, *args, **kwargs)
+
+    monkeypatch.setattr(ExplicitQMatrix, "__init__", spy)
+    return built
+
+
+class TestMatrixFreeFits:
+    """Every fit solves against the matrix-free operator (§III-B).
+
+    No estimator assembles the dense Q_tilde, at any size and with either
+    reduced-system solver: the tile cache already keeps the kernel values
+    a dense matrix would hold.
+    """
+
+    @pytest.mark.parametrize(
+        "make, multiclass",
+        [
+            (lambda cfg: LSSVC(kernel="rbf", C=10.0, config=cfg), False),
+            (lambda cfg: LSSVR(kernel="rbf", C=10.0, config=cfg), False),
+            (lambda cfg: OneVsAllLSSVC(kernel="rbf", C=10.0, config=cfg), True),
+            (lambda cfg: OneVsOneLSSVC(kernel="rbf", C=10.0, config=cfg), True),
+        ],
+        ids=["LSSVC", "LSSVR", "OneVsAllLSSVC", "OneVsOneLSSVC"],
+    )
+    @pytest.mark.parametrize("solver", ["cg", "nystrom"])
+    def test_fit_builds_no_dense_system(self, monkeypatch, make, multiclass, solver):
+        dense = _spy_dense_systems(monkeypatch)
+        X, y = make_multiclass(200, 4, num_classes=3, rng=4)
+        est = make(SolverConfig(solver=solver)).fit(
+            X, y if multiclass else np.where(y > 0, 1.0, -1.0)
+        )
+        assert dense == []
+        assert est.predict(X[:3]).shape == (3,)
+
+    def test_weighted_fit_builds_no_dense_system(self, monkeypatch):
+        # WeightedLSSVC has no solver option: its stages run exact CG.
+        dense = _spy_dense_systems(monkeypatch)
+        X, y = make_multiclass(200, 4, num_classes=3, rng=4)
+        est = WeightedLSSVC(kernel="rbf", C=10.0).fit(X, np.where(y > 0, 1.0, -1.0))
+        assert dense == []
         assert est.predict(X[:3]).shape == (3,)
 
 

@@ -341,9 +341,16 @@ class TestExplicitBudgetGuard:
 
     def test_build_reduced_system_turns_implicit_under_budget(self):
         X, y = make_planes(300, 4, rng=0)
+        param = Parameter(kernel="rbf")
         with memory_budget(0.25):
-            qmat, _ = build_reduced_system(X, y, Parameter(kernel="linear"))
-        assert not isinstance(qmat, ExplicitQMatrix)
+            qmat, _ = build_reduced_system(X, y, param)
+            qmat.pipeline  # noqa: B018 - built lazily, under the budget
+        assert isinstance(qmat, ImplicitQMatrix)
+        # The budget clamps the tile cache to a quarter of itself; that
+        # cannot hold the kernel triangle (half the dense system the
+        # budget refuses), so the cache switches itself off.
+        assert not qmat.pipeline.cache_enabled
+        assert build_reduced_system(X, y, param)[0].pipeline.cache_enabled
 
     def test_explicit_fits_within_budget(self):
         X, y = make_planes(40, 4, rng=0)

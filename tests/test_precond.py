@@ -14,22 +14,27 @@ from repro.core.precond import (
     make_preconditioner,
     rpcholesky,
 )
-from repro.core.qmatrix import build_reduced_system
+from repro.core.qmatrix import ExplicitQMatrix, ImplicitQMatrix, build_reduced_system
 from repro.exceptions import InvalidParameterError
 from repro.parameter import Parameter
 from repro.telemetry import reset_root_context, root_context
 
 
-def make_system(m=300, d=5, *, cost=1000.0, gamma=None, seed=0, implicit=True,
+def make_system(m=300, d=5, *, cost=1000.0, gamma=None, seed=0, dense=False,
                 compute_dtype=None):
-    """Ill-conditioned RBF reduced system (large C, smooth kernel)."""
+    """Ill-conditioned RBF reduced system (large C, smooth kernel).
+
+    ``dense=True`` assembles the explicit Q_tilde instead of the matrix-free
+    operator a fit builds.
+    """
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(m, d))
     y = np.where(X[:, 0] + 0.25 * X[:, 1] ** 2 > 0.1, 1.0, -1.0)
     param = Parameter(kernel="rbf", cost=cost, gamma=gamma)
-    return build_reduced_system(
-        X, y, param, implicit=implicit, compute_dtype=compute_dtype
-    )
+    if dense:
+        qmat = ExplicitQMatrix(X, y, param)
+        return qmat, qmat.rhs()
+    return build_reduced_system(X, y, param, compute_dtype=compute_dtype)
 
 
 class TestQMatrixDiagonal:
@@ -40,7 +45,7 @@ class TestQMatrixDiagonal:
         X = rng.normal(size=(40, 4))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         param = Parameter(kernel=kernel, cost=5.0)
-        qmat, _ = build_reduced_system(X, y, param, implicit=implicit)
+        qmat = (ImplicitQMatrix if implicit else ExplicitQMatrix)(X, y, param)
         assert np.allclose(qmat.diagonal(), np.diagonal(qmat.to_dense()))
 
 
@@ -67,7 +72,7 @@ class TestJacobiPrecond:
             JacobiPrecond(bad)
 
     def test_from_qmatrix_uses_operator_diagonal(self):
-        qmat, _ = make_system(m=60, implicit=False)
+        qmat, _ = make_system(m=60, dense=True)
         p = JacobiPrecond.from_qmatrix(qmat)
         assert np.allclose(p.diag, np.diagonal(qmat.to_dense()))
 
@@ -137,7 +142,7 @@ class TestNystromPrecond:
     def test_from_qmatrix_preconditions_the_full_operator(self):
         # The factor must track Q_tilde (including the rank-one q terms),
         # not K_bar alone: the preconditioned spectrum stays tight.
-        qmat, _ = make_system(m=200, implicit=False, cost=1e3)
+        qmat, _ = make_system(m=200, dense=True, cost=1e3)
         p = NystromPrecond.from_qmatrix(qmat, rank=60, rng=0)
         A = qmat.to_dense()
         # Assemble dense M^{-1} from the split factor: M^{-1} = E E^T.
@@ -260,7 +265,7 @@ class TestMixedPrecision:
 
 class TestMakePreconditioner:
     def test_resolution_table(self):
-        qmat, _ = make_system(m=60, implicit=False)
+        qmat, _ = make_system(m=60, dense=True)
         assert make_preconditioner(qmat, None) is None
         assert make_preconditioner(qmat, "none") is None
         assert isinstance(make_preconditioner(qmat, "jacobi"), JacobiPrecond)
@@ -273,7 +278,7 @@ class TestMakePreconditioner:
             make_preconditioner(qmat, 3.5)
 
     def test_counters_record_setup_and_rank(self):
-        qmat, _ = make_system(m=80, implicit=False)
+        qmat, _ = make_system(m=80, dense=True)
         reset_root_context()
         make_preconditioner(qmat, "nystrom", rank=12, rng=0)
         counters = root_context().solver_counters_dict()
@@ -283,7 +288,7 @@ class TestMakePreconditioner:
         reset_root_context()
 
     def test_cg_solve_counters(self):
-        qmat, rhs = make_system(m=80, implicit=False)
+        qmat, rhs = make_system(m=80, dense=True)
         reset_root_context()
         res = conjugate_gradient(qmat, rhs, epsilon=1e-6)
         counters = root_context().solver_counters_dict()
@@ -308,19 +313,6 @@ class TestEstimatorIntegration:
         )
         assert rel < 1e-2
         assert nys.score(X, y) == plain.score(X, y)
-
-    def test_legacy_jacobi_flag_still_works(self):
-        from repro import LSSVC
-
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(60, 3))
-        y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        clf = LSSVC(kernel="rbf", C=10.0, jacobi=True).fit(X, y)
-        assert clf.score(X, y) > 0.9
-        from repro.exceptions import DataError
-
-        with pytest.raises(DataError):
-            LSSVC(jacobi=True, precondition="nystrom")
 
     def test_multiclass_shared_solve_with_preconditioner(self):
         from repro.core.multiclass import OneVsAllLSSVC

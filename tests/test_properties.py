@@ -117,7 +117,7 @@ class TestSolverAgreement:
         param = Parameter(kernel="linear", cost=cost)
         q = ExplicitQMatrix(X, y, param)
         direct = np.linalg.solve(q.to_dense(), q.rhs())
-        clf = LSSVC(kernel="linear", C=cost, epsilon=1e-12, implicit=False).fit(X, y)
+        clf = LSSVC(kernel="linear", C=cost, epsilon=1e-12).fit(X, y)
         _, bias_direct = recover_bias_and_alpha(q, direct)
         y_enc = np.where(y == clf.model_.labels[0], 1.0, -1.0)
         q2 = ExplicitQMatrix(X, y_enc, param)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.cg import conjugate_gradient, conjugate_gradient_block
 from repro.core.kernels import kernel_matrix
 from repro.core.qmatrix import (
-    EXPLICIT_LIMIT,
     ExplicitQMatrix,
     ImplicitQMatrix,
     build_reduced_system,
@@ -138,19 +137,14 @@ class TestValidation:
 
 
 class TestBuildReducedSystem:
-    def test_auto_explicit_below_limit(self, planes_small, linear_param):
+    def test_small_system_is_matrix_free(self, planes_small, linear_param):
         X, y = planes_small
         q, rhs = build_reduced_system(X, y, linear_param)
-        assert isinstance(q, ExplicitQMatrix)
-        assert rhs.shape == (X.shape[0] - 1,)
-
-    def test_auto_threshold_respected(self):
-        assert EXPLICIT_LIMIT >= 1024  # sanity: dense solve stays feasible
-
-    def test_forced_implicit(self, planes_small, linear_param):
-        X, y = planes_small
-        q, _ = build_reduced_system(X, y, linear_param, implicit=True)
         assert isinstance(q, ImplicitQMatrix)
+        assert rhs.shape == (X.shape[0] - 1,)
+        dense = ExplicitQMatrix(X, y, linear_param)
+        assert np.allclose(q.to_dense(), dense.to_dense())
+        assert np.array_equal(rhs, dense.rhs())
 
 
 class TestSolutionRecovery:
