@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 from repro.campaign import CampaignRunner, ResultsStore, serve_campaign
+from repro.serve import BatchPolicy
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
@@ -40,7 +41,7 @@ def main(argv=None) -> dict:
     parser.add_argument("--requests-per-client", type=int, default=50)
     parser.add_argument("--concurrency", type=int, nargs="+", default=[1, 8, 32])
     parser.add_argument("--max-batch-rows", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
+    parser.add_argument("--max-wait-ms", type=float, default=BatchPolicy().max_wait_ms)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: tiny sizes, write to "

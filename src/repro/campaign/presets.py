@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..serve.batcher import BatchPolicy
 from .spec import CampaignSpec
 
 # Import for the registration side effect: the preset cells reference
@@ -129,7 +130,7 @@ def serve_campaign(
     requests_per_client: int = 50,
     concurrency: Optional[List[int]] = None,
     max_batch_rows: int = 64,
-    max_wait_ms: float = 2.0,
+    max_wait_ms: float = BatchPolicy().max_wait_ms,
     seed: int = 7,
     quick: bool = False,
 ) -> CampaignSpec:

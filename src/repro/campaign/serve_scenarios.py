@@ -253,7 +253,7 @@ def _register_builtin_serve_scenarios() -> None:
             "concurrency": [1, 8, 32],
             "requests_per_client": 50,
             "max_batch_rows": 64,
-            "max_wait_ms": 2.0,
+            "max_wait_ms": BatchPolicy().max_wait_ms,
         },
         gate=(
             GateRule(

@@ -37,6 +37,7 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = BatchPolicy()
     parser = argparse.ArgumentParser(
         prog="plssvm-serve",
         description="Serve trained LS-SVM models over a micro-batching JSON "
@@ -55,20 +56,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-batch-rows",
         type=int,
-        default=256,
+        default=defaults.max_batch_rows,
         help="flush a micro-batch as soon as this many rows are queued",
     )
     parser.add_argument(
         "--max-wait-ms",
         type=float,
-        default=2.0,
-        help="longest time the oldest queued request waits before its "
-        "batch flushes anyway",
+        default=defaults.max_wait_ms,
+        help="longest time the oldest queued request waits for peers before "
+        "its batch flushes; the default 0 flushes whatever queued while the "
+        "previous batch was evaluated, so a lone request never waits",
     )
     parser.add_argument(
         "--max-queue-rows",
         type=int,
-        default=4096,
+        default=defaults.max_queue_rows,
         help="bounded-queue admission limit; requests past it are rejected "
         "with HTTP 503",
     )

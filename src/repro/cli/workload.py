@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..exceptions import PLSSVMError
+from ..serve.batcher import BatchPolicy
 
 __all__ = ["main", "build_parser"]
 
@@ -117,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-process mode: compare every Nth response to the offline "
         "decision_function (0 disables)",
     )
-    rep.add_argument("--max-batch-rows", type=int, default=256)
-    rep.add_argument("--max-wait-ms", type=float, default=2.0)
-    rep.add_argument("--max-queue-rows", type=int, default=4096)
+    defaults = BatchPolicy()
+    rep.add_argument("--max-batch-rows", type=int, default=defaults.max_batch_rows)
+    rep.add_argument("--max-wait-ms", type=float, default=defaults.max_wait_ms)
+    rep.add_argument("--max-queue-rows", type=int, default=defaults.max_queue_rows)
     rep.add_argument(
         "--base-ms", type=float, default=0.5, help="sim service model: fixed cost"
     )
@@ -204,7 +206,6 @@ def _cmd_replay(args) -> int:
     from ..workloads.arrivals import WorkloadTrace
     from ..workloads.harness import HTTPTarget, InProcessTarget, replay
     from ..workloads.profiles_data import get_data_profile
-    from ..serve.batcher import BatchPolicy
 
     trace = WorkloadTrace.read_json(args.trace)
     policy = BatchPolicy(

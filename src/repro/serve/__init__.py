@@ -9,8 +9,9 @@ support set amortizes across requests once they are batched:
   norms, compute-dtype casts, shared worker pool) whose thread-safe
   ``predict`` routes through the tile pipeline's cross-kernel sweep;
 * :class:`MicroBatcher` / :class:`BatchPolicy` — coalesces concurrent
-  small requests into one sweep under a max-batch-rows / max-wait-ms
-  policy, with a bounded queue and typed
+  small requests into one sweep: by default a batch is whatever queued
+  while the previous one was evaluated (``max_wait_ms=0``), capped at
+  ``max_batch_rows``, with a bounded queue and typed
   :class:`~repro.exceptions.ServerOverloadedError` backpressure;
 * :class:`ModelRegistry` — named models with a byte-budgeted LRU of warm
   engines and generation-tagged hot-swap reload;

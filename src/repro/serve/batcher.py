@@ -7,13 +7,17 @@ arrived together or one request at a time. A server receiving K
 concurrent single-row requests therefore wants to *stack* them and pay
 ⌈K / max_batch_rows⌉ sweeps instead of K.
 
-:class:`MicroBatcher` implements that with the standard two-knob policy:
+:class:`MicroBatcher` implements that with one flush worker and two
+triggers:
 
 * ``max_batch_rows`` — a batch flushes as soon as this many rows are
-  queued (count trigger, keeps latency low under load);
-* ``max_wait_ms`` — the *oldest* queued request never waits longer than
-  this before its batch flushes anyway (deadline trigger, bounds latency
-  when traffic is sparse; a full batch never waits).
+  queued (count trigger);
+* ``max_wait_ms`` — the *oldest* queued request waits at most this long
+  for peers before its batch flushes anyway (deadline trigger). The
+  default is 0, which makes the batcher work-conserving: a batch is
+  whatever queued while the previous batch was evaluated, so a lone
+  request leaves at once and batches still grow with load. A positive
+  deadline holds every lone request for peers that may never come.
 
 Admission control is a bounded queue: a request that would push the
 queued row count past ``max_queue_rows`` is rejected up front with
@@ -61,9 +65,10 @@ __all__ = ["MicroBatcher", "BatchPolicy"]
 class BatchPolicy:
     """The coalescing policy knobs, validated once.
 
-    ``max_batch_rows=1`` degenerates to no batching (every request is its
-    own sweep); ``max_wait_ms=0`` flushes eagerly (whatever is queued when
-    the worker wakes forms the batch).
+    The defaults are the ones ``plssvm-serve`` ships. ``max_batch_rows=1``
+    degenerates to no batching (every request is its own sweep);
+    ``max_wait_ms=0`` (the default) flushes eagerly: whatever is queued
+    when the worker is free forms the batch.
     """
 
     __slots__ = ("max_batch_rows", "max_wait_ms", "max_queue_rows")
@@ -71,7 +76,7 @@ class BatchPolicy:
     def __init__(
         self,
         max_batch_rows: int = 256,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_queue_rows: int = 4096,
     ) -> None:
         if max_batch_rows < 1:
@@ -332,44 +337,55 @@ class MicroBatcher:
 
     def _flush(self, batch: List[_Pending], trigger: str = "wait") -> None:
         ctx = current_context()
-        rows = sum(p.rows.shape[0] for p in batch)
         now = time.perf_counter()
         batch_id = self.batches
         self.batches += 1
         generation = -1
+        served, rows, sweep_seconds = batch, 0, 0.0
         try:
             engine = self._engine_supplier()
             generation = engine.generation
-            with ctx.span(
-                "batch", requests=len(batch), rows=rows, batch_id=batch_id
-            ) as span:
-                stacked = (
-                    batch[0].rows
-                    if len(batch) == 1
-                    else np.concatenate([p.rows for p in batch], axis=0)
-                )
-                labels, values = engine.evaluate(stacked)
-            sweep_seconds = span.dur if span is not None else 0.0
-            self.last_generation = generation
-            ctx.inc("serve_batches")
-            ctx.inc(self._TRIGGER_COUNTERS.get(trigger, "serve_flush_max_wait"))
-            ctx.observe("serve_batch_rows", rows)
-            ctx.observe("serve_batch_requests", len(batch))
-            start = 0
+            served = []
             for pending in batch:
-                stop = start + pending.rows.shape[0]
-                pending.labels = labels[start:stop]
-                pending.values = values[start:stop]
-                start = stop
+                # A request of another width cannot be stacked with the
+                # rest; it fails alone instead of failing its whole batch.
+                try:
+                    engine.check_features(pending.rows.shape[1])
+                    served.append(pending)
+                except DataError as exc:
+                    pending.error = exc
+                    ctx.inc("serve_batch_errors")
+            rows = sum(p.rows.shape[0] for p in served)
+            if served:
+                with ctx.span(
+                    "batch", requests=len(served), rows=rows, batch_id=batch_id
+                ) as span:
+                    stacked = (
+                        served[0].rows
+                        if len(served) == 1
+                        else np.concatenate([p.rows for p in served], axis=0)
+                    )
+                    labels, values = engine.evaluate(stacked)
+                sweep_seconds = span.dur if span is not None else 0.0
+                self.last_generation = generation
+                ctx.inc("serve_batches")
+                ctx.inc(self._TRIGGER_COUNTERS.get(trigger, "serve_flush_max_wait"))
+                ctx.observe("serve_batch_rows", rows)
+                ctx.observe("serve_batch_requests", len(served))
+                start = 0
+                for pending in served:
+                    stop = start + pending.rows.shape[0]
+                    pending.labels = labels[start:stop]
+                    pending.values = values[start:stop]
+                    start = stop
         except BaseException as exc:  # noqa: BLE001 - handed to the submitters
-            sweep_seconds = 0.0
             ctx.inc("serve_batch_errors")
-            for pending in batch:
+            for pending in served:
                 pending.error = exc
         for pending in batch:
             pending.batch_id = batch_id
             pending.batch_rows = rows
-            pending.batch_requests = len(batch)
+            pending.batch_requests = len(served)
             pending.sweep_seconds = sweep_seconds
             pending.wait_seconds = now - pending.enqueued
             pending.generation = generation

@@ -178,12 +178,16 @@ class PredictionEngine:
             X = X[None, :]
         if X.ndim != 2:
             raise DataError("prediction input must be a row or a 2-D block of rows")
-        if X.shape[1] != self.num_features:
+        self.check_features(X.shape[1])
+        return X
+
+    def check_features(self, num_features: int) -> None:
+        """Raise :class:`DataError` unless rows of this width fit the model."""
+        if num_features != self.num_features:
             raise DataError(
-                f"request has {X.shape[1]} features, model {self.name!r} "
+                f"request has {num_features} features, model {self.name!r} "
                 f"expects {self.num_features}"
             )
-        return X
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """``f(x)`` per row: shape ``(n,)``, or ``(n, k)`` for a coefficient block.

@@ -19,6 +19,16 @@ coalesce — and the endpoints speak JSON:
 * ``GET /metrics`` — the :class:`~repro.serve.report.ServingReport`
   (schema-validated by :func:`~repro.serve.report.validate_serving_report`).
 
+Every response leaves in one write, status line, headers and body
+together, on a socket with Nagle's algorithm off. Sent as two writes, the
+body of a kept-alive response would wait for the client's delayed ACK of
+the headers, about 40 ms on Linux: a hundred times the evaluation itself.
+
+A ``/predict`` body must carry finite numbers. A body is read only when
+its ``Content-Length`` is a non-negative integer of at most
+:data:`MAX_BODY_BYTES`; otherwise the answer is 400 or 413 and the
+connection closes, since the request's framing is unknown.
+
 Every request runs under a fresh per-request telemetry scope parented to
 the server's aggregate context, so ``/metrics`` sees totals while each
 response can report its own wait/batch numbers.
@@ -45,7 +55,14 @@ from .batcher import BatchPolicy, MicroBatcher
 from .registry import ModelRegistry
 from .report import build_serving_report, ServingReport
 
-__all__ = ["ServingApp", "PLSSVMServer", "serve_forever"]
+__all__ = ["ServingApp", "PLSSVMServer", "serve_forever", "MAX_BODY_BYTES"]
+
+#: Largest request body read (413 beyond it). A body is read whole and
+#: parsed into Python floats before any row is admitted, so without a cap
+#: one request could make its handler thread allocate without bound.
+#: 64 MiB carries a request of 4096 rows (the default admission budget)
+#: of over 700 features each, written at full float64 precision.
+MAX_BODY_BYTES = 64 << 20
 
 
 class ServingApp:
@@ -139,6 +156,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "plssvm-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: the stdlib's own send_error still writes its headers
+    # and body apart, and must not wait out a delayed ACK either.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------------
 
@@ -155,13 +175,43 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # a bare body, no head
+            self.wfile.write(body)
+            return
+        # One write for the whole response: end_headers() would send the
+        # head on its own, and the body would wait for its delayed ACK.
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
 
     def _error(self, status: int, message: str, *, headers: Optional[dict] = None) -> None:
         self._send_json(status, {"error": message, "status": status}, headers=headers)
+
+    def _read_json(self):
+        """The request body parsed as JSON (``{}`` when empty).
+
+        Raises :class:`_RequestError`. A ``Content-Length`` that is not a
+        non-negative integer, or that exceeds :data:`MAX_BODY_BYTES`,
+        leaves the body unread and closes the connection after the answer.
+        """
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                raise _RequestError(400, "Content-Length must be a non-negative integer")
+            raise _RequestError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES} bytes"
+            )
+        try:
+            return json.loads(self.rfile.read(length) or b"{}")
+        except (ValueError, RecursionError) as exc:
+            raise _RequestError(400, f"request body is not valid JSON: {exc}") from None
 
     # -- GET ------------------------------------------------------------------
 
@@ -192,13 +242,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._do_reload(path[len("/models/") : -len("/reload")].strip("/"))
             return
         if path != "/predict":
+            self.close_connection = True  # its body is left unread
             self._error(404, f"unknown path {self.path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._error(400, f"request body is not valid JSON: {exc}")
+            payload = self._read_json()
+        except _RequestError as exc:
+            self._error(exc.status, str(exc))
             return
         with scope("request", parent=self.app.context) as ctx:
             start = time.perf_counter()
@@ -241,13 +291,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _do_reload(self, name: str) -> None:
         """``POST /models/<name>/reload`` — generation-tagged hot swap."""
         if not name:
+            self.close_connection = True  # its body is left unread
             self._error(404, "reload needs a model name: /models/<name>/reload")
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}") if length else {}
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._error(400, f"request body is not valid JSON: {exc}")
+            payload = self._read_json()
+        except _RequestError as exc:
+            self._error(exc.status, str(exc))
             return
         source = None
         if isinstance(payload, dict) and payload.get("source") is not None:
@@ -265,6 +315,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self.app.context.inc("serve_reloads")
         self._send_json(200, {"model": name, "generation": generation})
+
+
+class _RequestError(Exception):
+    """A request refused before any model work, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _find_child(span, name: str):
@@ -292,6 +350,10 @@ def _parse_predict(payload: dict):
         raise DataError(f"rows are not numeric: {exc}") from None
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError('"rows" must be a non-empty list of equal-length rows')
+    if not np.isfinite(X).all():
+        # Python's json reads NaN and Infinity, but a row holding one has
+        # no decision value, and NaN in the answer would not be JSON.
+        raise DataError("rows must hold finite numbers (no NaN or Infinity)")
     return model, X
 
 

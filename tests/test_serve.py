@@ -13,10 +13,14 @@ The load-bearing acceptance checks live here:
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -40,7 +44,9 @@ from repro.serve import (
     build_serving_report,
     validate_serving_report,
 )
-from repro.telemetry import TelemetryContext, activate
+from repro.serve import server as server_mod
+from repro.serve.server import MAX_BODY_BYTES
+from repro.telemetry import TelemetryContext, activate, scope
 
 
 @pytest.fixture(scope="module", params=["linear", "rbf"])
@@ -206,6 +212,45 @@ class TestMicroBatcher:
             labels, values = batcher.submit(X[:20], timeout=10.0)
         assert np.array_equal(labels, fitted_model.predict(X[:20]))
         assert np.array_equal(values, fitted_model.decision_function(X[:20]))
+
+    def test_wrong_width_request_fails_alone(self, fitted_model, ctx):
+        """A request of the wrong width fails alone with DataError; the
+        request batched with it is answered, and the batch counts only it."""
+        engine = PredictionEngine(fitted_model)
+        # Two one-row submitters: the count trigger releases them as one
+        # batch, long before the deadline could.
+        policy = BatchPolicy(max_batch_rows=2, max_wait_ms=60_000.0)
+        rows = {
+            "good": fitted_model.support_vectors[0],
+            "bad": np.ones(fitted_model.num_features + 1),
+        }
+        outcomes, spans = {}, {}
+        gate = threading.Barrier(2)
+
+        def work(key):
+            gate.wait(timeout=10.0)
+            with scope("request", parent=ctx) as request:
+                try:
+                    outcomes[key] = batcher.submit(rows[key], timeout=30.0)
+                except BaseException as exc:
+                    outcomes[key] = exc
+            spans[key] = request.root_span.children[0]
+
+        with MicroBatcher(engine, policy=policy, context=ctx) as batcher:
+            threads = [threading.Thread(target=work, args=(k,)) for k in rows]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert isinstance(outcomes["bad"], DataError)
+        labels, values = outcomes["good"]
+        assert values[0] == fitted_model.decision_function(rows["good"][None, :])[0]
+        assert labels[0] == fitted_model.predict(rows["good"][None, :])[0]
+        assert batcher.batches == 1
+        assert spans["good"].attrs["batch_rows"] == 1
+        assert spans["good"].attrs["batch_requests"] == 1
+        assert ctx.metrics.histogram("serve_batch_rows").total == 1
+        assert ctx.metrics.value("serve_batch_errors") == 1
 
     def test_closed_batcher_rejects(self, fitted_model, ctx):
         engine = PredictionEngine(fitted_model)
@@ -380,6 +425,64 @@ def _post(url, payload):
         return exc.code, json.loads(exc.read().decode("utf-8"))
 
 
+def _address(base):
+    url = urllib.parse.urlsplit(base)
+    return url.hostname, url.port
+
+
+def _raw_post(body: bytes, length=None, path: bytes = b"/predict") -> bytes:
+    """A raw POST request; ``length`` overrides its Content-Length."""
+    length = len(body) if length is None else length
+    return (
+        b"POST " + path + b" HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Type: application/json\r\nContent-Length: "
+        + str(length).encode()
+        + b"\r\n\r\n"
+        + body
+    )
+
+
+def _read_response(sock):
+    """``(status, lower-cased head, JSON body)`` of one response."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed before the response head")
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    head = head.decode("latin-1").lower()
+    length = int(re.search(r"content-length:\s*(\d+)", head).group(1))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed inside the response body")
+        body += chunk
+    return int(head.split()[1]), head, json.loads(body)
+
+
+def _row_json(first: str = "0.5", width: int = 8) -> bytes:
+    """A JSON row of ``width`` values (planes_small has 8 features)."""
+    return ("[" + ", ".join([first] + ["0.5"] * (width - 1)) + "]").encode()
+
+
+#: case -> (body, Content-Length override, expected status)
+HOSTILE_PREDICT_REQUESTS = {
+    "malformed_json": (b'{"rows": [' + _row_json(), None, 400),
+    "non_object": (b"[" + _row_json() + b"]", None, 400),
+    "missing_rows": (b"{}", None, 400),
+    "empty_rows": (b'{"rows": []}', None, 400),
+    "rows_not_a_list": (b'{"rows": "nope"}', None, 400),
+    "ragged_rows": (b'{"rows": [' + _row_json() + b", [0.5]]}", None, 400),
+    "non_numeric": (b'{"rows": [' + _row_json('"x"') + b"]}", None, 400),
+    "wrong_width": (b'{"rows": [' + _row_json(width=9) + b"]}", None, 400),
+    "nan": (b'{"row": ' + _row_json("NaN") + b"}", None, 400),
+    "infinity": (b'{"row": ' + _row_json("Infinity") + b"}", None, 400),
+    "negative_length": (b"", -1, 400),
+    "over_cap_length": (b"", MAX_BODY_BYTES + 1, 413),
+}
+
+
 class TestHTTPServer:
     def test_healthz(self, http_server):
         base, _, _ = http_server
@@ -435,16 +538,120 @@ class TestHTTPServer:
         assert status == 404
         assert "ghost" in payload["error"]
 
-    def test_bad_rows_400(self, http_server):
-        base, _, _ = http_server
-        for body in ({}, {"rows": []}, {"rows": "nope"}, {"rows": [[1, "x"]]}):
-            status, _ = _post(f"{base}/predict", body)
-            assert status == 400
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PREDICT_REQUESTS))
+    def test_hostile_predict_input_4xx(self, http_server, case):
+        """Each hostile /predict input gets a 4xx with a JSON error body,
+        never a dropped connection or a 500. Where its body was read in
+        full, the kept-alive connection then serves a good request. Where
+        its length is unusable, the server answers while the client still
+        holds the connection open, and then closes it."""
+        base, model, X = http_server
+        body, length, status = HOSTILE_PREDICT_REQUESTS[case]
+        with socket.create_connection(_address(base), timeout=5.0) as sock:
+            sock.sendall(_raw_post(body, length))
+            got, head, payload = _read_response(sock)
+            assert got == status
+            assert payload["status"] == status and payload["error"]
+            if length is None:
+                assert "connection: close" not in head
+                sock.sendall(_raw_post(json.dumps({"row": X[0].tolist()}).encode()))
+                got, _, payload = _read_response(sock)
+                assert got == 200
+                assert payload["decision_values"] == [
+                    model.decision_function(X[:1])[0]
+                ]
+            else:
+                assert "connection: close" in head
+                assert sock.recv(1) == b""
 
     def test_unknown_path_404(self, http_server):
         base, _, _ = http_server
         status, _ = _get(f"{base}/nope")
         assert status == 404
+
+    def test_unknown_post_path_closes_connection(self, http_server):
+        """A POST to an unknown path leaves its body unread, so the 404
+        closes the connection instead of parsing the body as a request."""
+        base, _, _ = http_server
+        with socket.create_connection(_address(base), timeout=5.0) as sock:
+            sock.sendall(_raw_post(b'{"rows": [[0.5]]}', path=b"/nope"))
+            status, head, payload = _read_response(sock)
+            assert status == 404 and payload["error"]
+            assert "connection: close" in head
+            assert sock.recv(1) == b""
+
+    def test_http09_request_gets_bare_body(self, http_server):
+        """An HTTP/0.9 request line is answered with the body alone."""
+        base, _, _ = http_server
+        with socket.create_connection(_address(base), timeout=5.0) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        assert json.loads(data)["status"] == "ok"
+
+    def test_each_response_is_one_write(self, planes_small):
+        """Status line, headers and body leave in one send, so no body
+        waits for the client's delayed ACK of its head."""
+        X, y = planes_small
+        model = LSSVC(kernel="rbf", C=10.0, gamma=0.25).fit(X, y).model_
+        registry = ModelRegistry()
+        registry.register("planes", model)
+        sends = []
+
+        class CountingHandler(server_mod._Handler):
+            def setup(self):
+                self.request = _CountingSocket(self.request, sends)
+                super().setup()
+
+        server = PLSSVMServer(("127.0.0.1", 0), ServingApp(registry))
+        server.RequestHandlerClass = CountingHandler
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10.0)
+        big = np.tile(X, (4, 1))[:400]
+        cases = [
+            ("POST", "/predict", {"row": X[0].tolist()}, 200, X[:1]),
+            ("POST", "/predict", {"rows": big.tolist()}, 200, big),
+            ("POST", "/predict", {"rows": [[0.5]]}, 400, None),
+            ("GET", "/metrics", None, 200, None),
+        ]
+        try:
+            for method, path, payload, status, rows in cases:
+                sends.clear()
+                body = None if payload is None else json.dumps(payload).encode()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                data = response.read()
+                assert response.status == status
+                assert len(sends) == 1 and sends[0] > len(data), (path, sends)
+                if rows is not None:
+                    values = json.loads(data)["decision_values"]
+                    assert values == model.decision_function(rows).tolist()
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+
+
+class _CountingSocket:
+    """A connection socket that records the size of every send on it."""
+
+    def __init__(self, sock, sends):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data, *args):
+        self._sends.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._sends.append(len(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
 
 class TestRewiredPredictPaths:
