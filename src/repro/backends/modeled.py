@@ -20,13 +20,14 @@ Two schemes share the object:
   reduced vector comes back over PCIe (no direct GPU-to-GPU traffic).
   The solution is written back once at the end.
 * **a cluster** (a :class:`~repro.parallel.mpi_sim.NetworkSpec`): node
-  ``k`` owns the rows of the operator's ``k``-th row shard, split
-  feature-wise over its GPUs. The linear kernel charges two GEMV passes
-  per GPU around one ``d``-length allreduce (the Gram factorization);
-  the non-linear kernels charge Tyree et al.'s sample-sharded sweep:
-  every foreign row tile is broadcast to the node, each tile is one
-  launch per GPU, and the overlapping full-length partials meet in one
-  ``n``-length allreduce.
+  ``k`` owns the ``k``-th of :func:`node_row_blocks`, split feature-wise
+  over its GPUs. The row ownership is priced, not computed: the host
+  operator's values do not depend on it. The linear kernel charges two
+  GEMV passes per GPU around one ``d``-length allreduce (the Gram
+  factorization); the non-linear kernels charge Tyree et al.'s
+  sample-sharded sweep: every foreign row tile is broadcast to the node,
+  each tile is one launch per GPU, and the overlapping full-length
+  partials meet in one ``n``-length allreduce.
 
 Every byte count takes its value width from the fit's dtype, and
 ``float32`` runs on the FP32 pipeline. The dry-run models of
@@ -43,7 +44,7 @@ import numpy as np
 
 from ..exceptions import DataError, DeviceError, DeviceLostError
 from ..parallel.mpi_sim import NetworkSpec, SimCommunicator
-from ..parallel.partition import BlockRange, feature_split, round_up
+from ..parallel.partition import BlockRange, chunk_ranges, feature_split, round_up
 from ..profiling import ComponentTimer
 from ..simgpu.device import SimulatedDevice
 from ..telemetry.context import current_context
@@ -56,10 +57,24 @@ from .kernels import (
     vector_ops_costs,
 )
 
-__all__ = ["ModeledDevices", "ModeledBackend", "attach_devices", "report_device_summaries"]
+__all__ = [
+    "ModeledDevices",
+    "ModeledBackend",
+    "attach_devices",
+    "node_row_blocks",
+    "report_device_summaries",
+]
 
 #: Row padding of a cluster node's slab (its GEMV block size).
 _CLUSTER_PAD = 64
+
+
+def node_row_blocks(num_rows: int, num_nodes: int) -> List[BlockRange]:
+    """The rows each node of a cluster owns: contiguous, near-equal blocks.
+
+    Empty blocks are dropped, so tiny data may not fill the cluster.
+    """
+    return [r for r in chunk_ranges(num_rows, num_nodes) if len(r) > 0]
 
 
 def report_device_summaries(devices: Sequence[SimulatedDevice]) -> None:
@@ -112,8 +127,8 @@ class ModeledDevices:
         split); a device with an empty slice stays idle. By default the
         features are split equally.
     row_blocks:
-        The rows each node owns (the operator's row shards); by default
-        one node owns every row.
+        The rows each node owns (:func:`node_row_blocks` for a cluster);
+        by default one node owns every row.
     network:
         Inter-node fabric of a cluster; ``None`` for one node running
         PLSSVM's kernels.
@@ -418,12 +433,13 @@ def attach_devices(
     *,
     config: Optional[KernelConfig] = None,
     feature_ranges: Optional[Sequence[BlockRange]] = None,
+    row_blocks: Optional[Sequence[BlockRange]] = None,
     network: Optional[NetworkSpec] = None,
 ) -> ModeledDevices:
     """Lay ``nodes`` out over ``qmat``, charge their setup, attach them.
 
-    ``qmat`` is an :class:`~repro.core.qmatrix.ImplicitQMatrix`; with a
-    ``network``, node ``k`` owns the operator's ``k``-th row shard.
+    ``qmat`` is an :class:`~repro.core.qmatrix.ImplicitQMatrix`; node ``k``
+    owns ``row_blocks[k]`` (by default one node owns every row).
     """
     cost = ModeledDevices(
         nodes,
@@ -433,7 +449,7 @@ def attach_devices(
         dtype=qmat.dtype,
         config=config,
         feature_ranges=feature_ranges,
-        row_blocks=None if network is None else qmat.shards,
+        row_blocks=row_blocks,
         network=network,
         tile_rows=qmat.tile_rows,
     )

@@ -7,18 +7,18 @@ row split shrinks every node's memory footprint with the data set size,
 which is the point of going multi-node — and within each node splits its
 rows feature-wise across the GPUs (§III-C5).
 
-The arithmetic is the host :class:`repro.core.qmatrix.ImplicitQMatrix`
-with one row shard per node, Tyree et al.'s sample-sharded scheme: the
-linear kernel's Gram factorization ``K_bar @ v = X_bar @ (X_bar.T @ v)``
-needs one ``d``-length allreduce of the per-node ``X_k^T v_k`` partials
-per matvec, the non-linear kernels stream every row tile against each
-node's columns and combine the overlapping full-length partials in one
-``n``-length allreduce. So the fit equals a NumPy fit with the same row
-shards (``ResourceConfig(shard_rows=num_nodes)``), bit for bit. The
-modeled cost — GPU launches and PCIe copies per node from the simulated
-devices, inter-node time from
-:class:`repro.parallel.mpi_sim.SimCommunicator` — is the cluster scheme of
-:class:`repro.backends.modeled.ModeledDevices`.
+The arithmetic is the plain host
+:class:`repro.core.qmatrix.ImplicitQMatrix`, so the fit equals the default
+NumPy fit bit for bit, at any node count. Node ``k`` owns the ``k``-th of
+:func:`repro.backends.modeled.node_row_blocks`, Tyree et al.'s sample
+sharding, and that ownership only decides what is priced: the linear
+kernel's Gram factorization ``K_bar @ v = X_bar @ (X_bar.T @ v)`` charges
+one ``d``-length allreduce of the per-node ``X_k^T v_k`` partials per
+matvec, the non-linear kernels charge every foreign row tile's broadcast
+and one ``n``-length allreduce of the overlapping partials. The modeled
+cost — GPU launches and PCIe copies per node from the simulated devices,
+inter-node time from :class:`repro.parallel.mpi_sim.SimCommunicator` — is
+the cluster scheme of :class:`repro.backends.modeled.ModeledDevices`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..simgpu.device import SimulatedDevice
 from ..simgpu.spec import DeviceSpec
 from ..types import BackendType
 from .base import CSVM
-from .modeled import ModeledBackend
+from .modeled import ModeledBackend, node_row_blocks
 
 __all__ = ["MultiNodeCSVM"]
 
@@ -83,19 +83,19 @@ class MultiNodeCSVM(ModeledBackend, CSVM):
     def create_qmatrix(
         self, X: np.ndarray, y: np.ndarray, param: Parameter
     ) -> ImplicitQMatrix:
-        qmat = ImplicitQMatrix(X, y, param, num_shards=self.num_nodes)
-        # One node per non-empty row shard (tiny data may not fill the cluster).
+        qmat = ImplicitQMatrix(X, y, param)
+        row_blocks = node_row_blocks(qmat.shape[0], self.num_nodes)
         nodes = [
             [
                 SimulatedDevice(self.spec, "cuda", device_id=node_id * 100 + gpu_id)
                 for gpu_id in range(self.gpus_per_node)
             ]
-            for node_id in range(qmat.num_shards)
+            for node_id in range(len(row_blocks))
         ]
         for node in nodes:
             for dev in node:
                 dev.attach_fault_plan(self.fault_plan)
-        return self._attach(qmat, nodes, network=self.network)
+        return self._attach(qmat, nodes, row_blocks=row_blocks, network=self.network)
 
     def describe(self) -> str:
         return (

@@ -1,11 +1,9 @@
 """The standard campaigns: ``solver``, ``serve``, and ``workloads``.
 
-These reproduce, cell for cell, what the old monolithic
-``benchmarks/bench_solver.py`` / ``bench_serve.py`` scripts measured —
-same scenario keys, same problem sizes, same ``--quick`` clamps — which
-is what keeps the committed ``BENCH_*{,.quick}.json`` artifacts valid as
-regression baselines. The scripts themselves are now thin wrappers over
-these builders; ``plssvm-bench run solver|serve`` uses them directly.
+These fix each campaign's cells — scenario keys, problem sizes,
+``--quick`` clamps — which is what keeps the committed
+``BENCH_*{,.quick}.json`` artifacts valid as regression baselines.
+``plssvm-bench run|check solver|serve|workloads`` builds them by name.
 
 Cells deliberately carry *no* grid axes, so their keys are the flat
 scenario names the BENCH reports have always used under
@@ -42,7 +40,6 @@ def solver_campaign(
     rand_points: int = 4000,
     ooc_points: Optional[List[int]] = None,
     ooc_budget_mb: float = 64.0,
-    ooc_shards: int = 4,
     refit_points: int = 3000,
     refit_chunk: int = 150,
     refit_chunks: int = 3,
@@ -86,7 +83,6 @@ def solver_campaign(
                 "rand_points": rand_points,
                 "ooc_points": list(ooc_points),
                 "ooc_budget_mb": ooc_budget_mb,
-                "ooc_shards": ooc_shards,
                 "refit_points": refit_points,
                 "refit_chunk": refit_chunk,
                 "refit_chunks": refit_chunks,
@@ -115,8 +111,7 @@ def solver_campaign(
                             "chunks": refit_chunks, **shared}},
                 {"scenario": "out_of_core",
                  "params": {"m_values": list(ooc_points), "features": features,
-                            "budget_mb": ooc_budget_mb, "shards": ooc_shards,
-                            "seed": seed}},
+                            "budget_mb": ooc_budget_mb, "seed": seed}},
             ],
         }
     )

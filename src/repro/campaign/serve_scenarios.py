@@ -1,4 +1,4 @@
-"""Built-in serving benchmark scenarios (ex ``benchmarks/bench_serve.py``).
+"""Built-in serving benchmark scenarios (the ``serve`` campaign).
 
 Closed-loop, in-process load tests against the ``repro.serve`` stack:
 ``warm_engine`` (cold model calls vs the warm engine), ``batching``

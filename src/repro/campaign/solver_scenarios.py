@@ -1,12 +1,11 @@
-"""Built-in solver benchmark scenarios (ex ``benchmarks/bench_solver.py``).
+"""Built-in solver benchmark scenarios (the ``solver`` campaign).
 
 Each function is one registered campaign scenario timing a before/after
 pair of solver code paths on synthetic data; the returned dicts are the
-exact per-scenario payloads the old monolithic script wrote under
-``report["scenarios"]``, plus the derived headline metrics the
-regression gate keys on (e.g. ``nystrom_default_speedup``). The thin
-``benchmarks/bench_solver.py`` wrapper and ``plssvm-bench run`` both
-execute these through the campaign runner.
+per-scenario payloads of ``report["scenarios"]``, plus the derived
+headline metrics the regression gate keys on (e.g.
+``nystrom_default_speedup``). ``plssvm-bench run solver`` executes them
+through the campaign runner.
 
 Gate-tolerance philosophy: wall-clock ratios on shared CI runners are
 noisy, so relative tolerances are wide (a speedup may halve before the
@@ -344,18 +343,16 @@ def randomized_solvers(
     }
 
 
-def out_of_core(
-    m_values: list, features: int, budget_mb: float, shards: int, seed: int
-) -> dict:
-    """In-memory implicit matvecs vs the row-sharded operator on a PLSB file.
+def out_of_core(m_values: list, features: int, budget_mb: float, seed: int) -> dict:
+    """In-memory implicit matvecs vs the streamed operator on a PLSB file.
 
     For each m the same planes data is applied once through the in-memory
-    implicit operator and once through ``ImplicitQMatrix``'s row-shard
-    partition streaming a PLSB spill under a byte budget (linear kernel, so the sweeps are
+    implicit operator and once through ``ImplicitQMatrix`` streaming a
+    PLSB spill under a byte budget (linear kernel, so the products are
     GEMM-bound and the comparison isolates the streaming overhead:
-    chunked reads, per-shard partials, the allreduce fold). The
-    acceptance bar is throughput within 1.5x of in-memory at the largest
-    m, where the fixed per-sweep overhead has amortized.
+    chunked reads and the block-by-block Gram product). The acceptance
+    bar is throughput within 1.5x of in-memory at the largest m, where
+    the fixed per-product overhead has amortized.
     """
     reps, rounds = 20, 5
     points = []
@@ -372,9 +369,7 @@ def out_of_core(
                 dataset = open_chunked(path, memory_budget_mb=budget_mb)
                 try:
                     qmat_mem, _ = build_reduced_system(X, targets, param)
-                    qmat_ooc, _ = build_reduced_system(
-                        dataset, targets, param, shard_rows=shards
-                    )
+                    qmat_ooc, _ = build_reduced_system(dataset, targets, param)
                     reference = qmat_mem.matvec(v)  # warm-up sweeps,
                     streamed = qmat_ooc.matvec(v)   # reused for parity
                     # Alternate measurement rounds and keep the fastest so
@@ -409,7 +404,6 @@ def out_of_core(
     worst = max(p["slowdown"] for p in points)
     return {
         "budget_mb": budget_mb,
-        "shards": shards,
         "matvec_reps": reps,
         "timing_rounds": rounds,
         "points": points,
@@ -621,7 +615,6 @@ def _register_builtin_solver_scenarios() -> None:
             "m_values": [2000, 4000, 8000, 16000, 32000],
             "features": 16,
             "budget_mb": 64.0,
-            "shards": 4,
             "seed": 7,
         },
         gate=(

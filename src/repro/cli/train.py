@@ -182,15 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "high-water mark",
     )
     parser.add_argument(
-        "--shard-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="split the reduced system into N sample row-shards and run "
-        "CG matvecs shard-by-shard (sample-parallel out-of-core "
-        "operator); implies the NumPy dense-free path",
-    )
-    parser.add_argument(
         "--telemetry-json",
         default=None,
         metavar="PATH",
@@ -286,7 +277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
     # The follow daemon drives partial_fit, which runs the host-side
-    # incremental engine: exact CG only, no backend, no sharding.
+    # incremental engine: exact CG only, no backend.
     if args.follow:
         conflicts = []
         if randomized:
@@ -295,8 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             conflicts.append("--fault-plan")
         if args.checkpoint_interval is not None:
             conflicts.append("--checkpoint-interval")
-        if args.shard_rows is not None:
-            conflicts.append("--shard-rows")
         if args.cross_validation is not None:
             conflicts.append("--cross_validation")
         if conflicts:
@@ -305,21 +294,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    # Budgeted / sharded training streams row blocks through the NumPy
-    # dense-free operator: no backend, no dense X.
-    out_of_core = args.memory_budget_mb is not None or args.shard_rows is not None
+    # Budgeted training streams row blocks through the NumPy dense-free
+    # operator: no backend, no dense X.
+    out_of_core = args.memory_budget_mb is not None
     if out_of_core:
         if args.cross_validation is not None:
             print(
                 "error: --cross_validation resamples the data in memory; "
-                "it does not combine with --memory-budget-mb/--shard-rows",
+                "it does not combine with --memory-budget-mb",
                 file=sys.stderr,
             )
             return 2
         if fault_plan is not None:
             print(
                 "error: --fault-plan drives device backends; the out-of-core "
-                "path is host-side (drop --memory-budget-mb/--shard-rows)",
+                "path is host-side (drop --memory-budget-mb)",
                 file=sys.stderr,
             )
             return 2
@@ -341,7 +330,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         checkpoint_interval=None if randomized else args.checkpoint_interval,
         max_retries=args.max_retries,
         memory_budget_mb=args.memory_budget_mb,
-        shard_rows=args.shard_rows,
     )
     clf = LSSVC(
         kernel=_parse_kernel(args.kernel_type),
@@ -439,15 +427,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if out_of_core:
         from ..membudget import format_bytes
 
-        budget_txt = (
-            f"{args.memory_budget_mb:g} MiB"
-            if args.memory_budget_mb is not None
-            else "none"
-        )
-        shards = args.shard_rows if args.shard_rows is not None else 1
         print(
             f"out-of-core: peak RSS {format_bytes(report.peak_rss_bytes)} "
-            f"(budget {budget_txt}, {shards} row shard(s), "
+            f"(budget {args.memory_budget_mb:g} MiB, "
             f"dense data would be {format_bytes(X.nbytes_dense)})"
         )
     if args.verbose:

@@ -171,18 +171,6 @@ def _check_options(est) -> None:
         raise InvalidParameterError(
             f"memory_budget_mb must be positive, got {res.memory_budget_mb}"
         )
-    if res.shard_rows is not None:
-        if res.shard_rows < 1:
-            raise InvalidParameterError(
-                f"shard_rows must be positive, got {res.shard_rows}"
-            )
-        if backend is not None:
-            raise InvalidParameterError(
-                "shard_rows runs the row-sharded NumPy operator; use backend=None"
-            )
-        if sparse:
-            raise InvalidParameterError("shard_rows and the sparse CG path are exclusive")
-        est.shard_rows = int(res.shard_rows)
     est.solver = solver
     est.polish_iters = int(config.polish_iters)
     if hasattr(est, "max_retries"):
@@ -266,7 +254,6 @@ def _solve_lssvm(
                             solver_threads=resources.solver_threads,
                             tile_cache_mb=resources.tile_cache_mb,
                             compute_dtype=resources.compute_dtype,
-                            shard_rows=resources.shard_rows,
                             ridge=ridge,
                             binary_labels=binary_labels,
                         )
@@ -392,10 +379,8 @@ def _append_lssvm(
     """
     if backend is not None:
         raise InvalidParameterError("partial_fit runs on the NumPy path; use backend=None")
-    if sparse or resources.shard_rows is not None:
-        raise InvalidParameterError(
-            "partial_fit supports neither sparse CG nor row sharding"
-        )
+    if sparse:
+        raise InvalidParameterError("partial_fit does not support sparse CG")
     if config.solver != "cg":
         raise InvalidParameterError(
             "partial_fit requires solver='cg' (the randomized direct "
@@ -628,13 +613,6 @@ class LSSVC(ParamsMixin):
         against it, and :meth:`partial_fit` keeps the incremental
         engine's dense factor only while twice its size stays within it.
         The realized peak RSS lands in ``report_.peak_rss_bytes``.
-    shard_rows:
-        Split the reduced system into this many sample row-shards and run
-        CG matvecs shard-by-shard through the row-shard partition of
-        :class:`repro.core.qmatrix.ImplicitQMatrix` — partial products are
-        combined by deterministic allreduce. ``X`` may then
-        be a row source (e.g. :class:`repro.io.ChunkedDataset`) so dense
-        data never enters memory. Requires ``backend=None``.
     config:
         A :class:`repro.parameter.SolverConfig` grouping the solver
         strategy knobs (``solver`` / ``solver_rank`` / ``solver_seed`` /
@@ -650,7 +628,7 @@ class LSSVC(ParamsMixin):
         A :class:`repro.parameter.ResourceConfig` grouping the execution
         resource knobs (``solver_threads`` / ``tile_cache_mb`` /
         ``compute_dtype`` / ``fault_plan`` / ``checkpoint_interval`` /
-        ``max_retries`` / ``memory_budget_mb`` / ``shard_rows``), with
+        ``max_retries`` / ``memory_budget_mb``), with
         the same authoritative-overlay semantics as ``config``.
     warm_start:
         When ``True``, a repeated :meth:`fit` on the exact-CG path
@@ -689,7 +667,6 @@ class LSSVC(ParamsMixin):
         checkpoint_interval: Optional[int] = None,
         max_retries: int = 3,
         memory_budget_mb: Optional[float] = None,
-        shard_rows: Optional[int] = None,
         config: Optional[SolverConfig] = None,
         resources: Optional[ResourceConfig] = None,
         warm_start: bool = False,
@@ -723,7 +700,6 @@ class LSSVC(ParamsMixin):
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
         self.memory_budget_mb = memory_budget_mb
-        self.shard_rows = shard_rows
         self.config = config
         self.resources = resources
         self.warm_start = warm_start
@@ -862,8 +838,8 @@ class LSSVC(ParamsMixin):
         observe the refreshed coefficients without an explicit reload.
 
         Requires the plain exact-CG NumPy path: ``backend=None``,
-        ``solver="cg"``, no ``sparse`` / ``shard_rows`` / ``fault_plan``
-        / ``checkpoint_interval``.
+        ``solver="cg"``, no ``sparse`` / ``fault_plan`` /
+        ``checkpoint_interval``.
         """
         step = _append_lssvm(
             self._engine,

@@ -59,7 +59,6 @@ _MC_RESOURCE_FIELDS = (
     "tile_cache_mb",
     "compute_dtype",
     "memory_budget_mb",
-    "shard_rows",
 )
 
 
@@ -117,7 +116,6 @@ class _MulticlassBase(ParamsMixin):
         polish_iters: int = 0,
         estimator_factory: Optional[Callable[[], object]] = None,
         memory_budget_mb: Optional[float] = None,
-        shard_rows: Optional[int] = None,
         config: Optional[SolverConfig] = None,
         resources: Optional[ResourceConfig] = None,
     ) -> None:
@@ -138,7 +136,6 @@ class _MulticlassBase(ParamsMixin):
         self.polish_iters = polish_iters
         self.estimator_factory = estimator_factory
         self.memory_budget_mb = memory_budget_mb
-        self.shard_rows = shard_rows
         self.config = config
         self.resources = resources
         warn_deprecated_flat_kwargs(
@@ -201,7 +198,6 @@ class _MulticlassBase(ParamsMixin):
                 tile_cache_mb=self.tile_cache_mb,
                 compute_dtype=self.compute_dtype,
                 memory_budget_mb=self.memory_budget_mb,
-                shard_rows=self.shard_rows,
             ),
         )
 
@@ -255,7 +251,6 @@ class OneVsAllLSSVC(_MulticlassBase):
         polish_iters: int = 0,
         estimator_factory: Optional[Callable[[], object]] = None,
         memory_budget_mb: Optional[float] = None,
-        shard_rows: Optional[int] = None,
         config: Optional[SolverConfig] = None,
         resources: Optional[ResourceConfig] = None,
         warm_start: bool = False,
@@ -280,7 +275,6 @@ class OneVsAllLSSVC(_MulticlassBase):
             polish_iters=polish_iters,
             estimator_factory=estimator_factory,
             memory_budget_mb=memory_budget_mb,
-            shard_rows=shard_rows,
             config=config,
             resources=resources,
         )
@@ -354,8 +348,7 @@ class OneVsAllLSSVC(_MulticlassBase):
 
         Machines' models are mutated in place with their caches
         invalidated, so live serving handles observe the refreshed
-        ensemble. Requires the default machines with ``solver="cg"`` and
-        no row sharding.
+        ensemble. Requires the default machines with ``solver="cg"``.
         """
         if self.estimator_factory is not None or (
             self._solution is None and self.classes_ is not None

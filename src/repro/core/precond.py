@@ -326,7 +326,7 @@ class NystromPrecond:
         go through the operator's row-block protocol
         (:meth:`~repro.core.qmatrix.QMatrixBase.kernel_column`) plus O(m)
         corrections, so neither the kernel matrix nor dense ``X`` is ever
-        formed — out-of-core row-sharded operators stream each column.
+        formed — an operator over a row source streams each column.
         ``rank=None`` picks :func:`default_nystrom_rank`.
         """
         n = qmat.shape[0]

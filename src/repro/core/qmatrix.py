@@ -23,8 +23,8 @@ Two realizations are provided:
   collapses into two BLAS-2 products against the data matrix
   (``X_bar @ (X_bar.T @ v)``), making it O(m d) instead of O(m² d). It is
   the one host-side matrix-free operator: the type of its input (dense
-  array, CSR matrix, row source) and an optional row-shard partition pick
-  how the kernel product is formed, and every kernel tile goes through
+  array, CSR matrix, row source) picks how the kernel product is formed,
+  and every kernel tile goes through
   :class:`repro.core.tile_pipeline.TilePipeline`.
 * :class:`ExplicitQMatrix` materializes the full matrix — O(m²) memory.
   It is the dense oracle the implicit operator is verified against, the
@@ -41,14 +41,12 @@ Both classes share the rank-one correction algebra
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import DataError, InvalidParameterError
 from ..membudget import active_memory_budget, format_bytes
-from ..parallel.partition import BlockRange, chunk_ranges
-from ..parallel.reduction import sum_partials
 from ..parameter import Parameter
 from ..sparse.csr import CSRMatrix
 from ..types import KernelType
@@ -62,11 +60,6 @@ __all__ = [
     "reduced_rhs",
     "recover_bias_and_alpha",
 ]
-
-#: Default row-block height of the streaming protocol
-#: (:meth:`QMatrixBase.iter_row_blocks`).
-DEFAULT_ROW_BLOCK = 4096
-
 
 def _validate_training_data(
     X: np.ndarray, y: np.ndarray, dtype: np.dtype, *, binary_labels: bool = True
@@ -461,20 +454,6 @@ class _HeadRows:
         return self.source.row_block(start, stop)
 
 
-def _resolve_shards(
-    n: int, num_shards: Optional[int], shard_size: Optional[int]
-) -> List[BlockRange]:
-    """The row-shard partition of ``[0, n)`` (default: 4096-row shards)."""
-    if num_shards is not None:
-        if int(num_shards) < 1:
-            raise InvalidParameterError(f"num_shards must be >= 1, got {num_shards}")
-        return [r for r in chunk_ranges(n, int(num_shards)) if len(r) > 0]
-    size = DEFAULT_ROW_BLOCK if shard_size is None else int(shard_size)
-    if size < 1:
-        raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
-    return [BlockRange(s, min(s + size, n)) for s in range(0, n, size)]
-
-
 class ImplicitQMatrix(QMatrixBase):
     """Matrix-free Q_tilde: kernel entries are recomputed per use (§III-B).
 
@@ -490,16 +469,16 @@ class ImplicitQMatrix(QMatrixBase):
       Gram product on the CSR structure, O(nnz) per matvec: the paper's
       "sparse data structures for the CG solver" next step (§V);
     * a row source (:class:`repro.io.ChunkedDataset` / ``ArrayRowSource``)
-      — out-of-core training: the data is streamed block by block and
-      never densified.
+      — out-of-core training: the data is streamed and never densified.
+      The non-linear kernels sweep the same triangle over it, reading each
+      tile side's rows from the source, so their values are bit-identical
+      to the in-memory sweep. The linear kernel streams the source's row
+      blocks twice per product, one block at a time in one fixed order:
+      ``w = sum_B X_B^T V_B``, then ``X_B @ w`` for each block ``B``.
 
-    A row source, or any input given a row-shard partition
-    (``num_shards`` / ``shard_size``), runs Tyree et al.'s sample-sharded
-    scheme: shard ``J`` owns its rows ``X_J`` and the slice ``v_J``. The
-    linear kernel combines the per-shard feature-space partials
-    ``X_J^T v_J`` with one deterministic allreduce
-    (:mod:`repro.parallel.reduction`) and streams ``X_B @ w`` back out;
-    the non-linear kernels hand the partition to the tile pipeline.
+    The operator has no partition of its own: the node row ownership of a
+    modeled cluster (:class:`repro.backends.modeled.ModeledDevices`)
+    changes only modeled time, never a value.
 
     Parameters
     ----------
@@ -522,12 +501,6 @@ class ImplicitQMatrix(QMatrixBase):
         bandwidth while CG's vectors, reductions, and termination
         criterion stay in ``dtype``). ``None`` keeps tiles in ``dtype``.
         The linear kernel has no tiles and ignores it.
-    num_shards:
-        Split the samples into this many row shards (simulated nodes).
-    shard_size:
-        Fixed shard height in rows (the last shard may be ragged); mutually
-        exclusive with ``num_shards``. A row source without either gets
-        4096-row shards.
     """
 
     def __init__(
@@ -542,15 +515,11 @@ class ImplicitQMatrix(QMatrixBase):
         solver_threads: Optional[int] = None,
         tile_cache_mb: Optional[float] = None,
         compute_dtype=None,
-        num_shards: Optional[int] = None,
-        shard_size: Optional[int] = None,
     ) -> None:
-        from ..io.chunked import as_row_source, is_row_source  # io imports core
+        from ..io.chunked import is_row_source  # deferred: io imports core
 
         if tile_rows <= 0:
             raise DataError("tile_rows must be positive")
-        if num_shards is not None and shard_size is not None:
-            raise InvalidParameterError("num_shards and shard_size are mutually exclusive")
         self.csr: Optional[CSRMatrix] = None
         if isinstance(X, CSRMatrix):
             if KernelType.from_name(param.kernel) is not KernelType.LINEAR:
@@ -562,11 +531,9 @@ class ImplicitQMatrix(QMatrixBase):
             # only touches the CSR structure.
             self.csr, X = X, X.to_dense()
         self.source = None
-        self.shards: Optional[List[BlockRange]] = None
-        if is_row_source(X) or num_shards is not None or shard_size is not None:
-            self.source = as_row_source(X)
+        if is_row_source(X):
+            self.source = X
             self._init_streamed(param, y, ridge=ridge, binary_labels=binary_labels)
-            self.shards = _resolve_shards(self.shape[0], num_shards, shard_size)
         else:
             super().__init__(X, y, param, ridge=ridge, binary_labels=binary_labels)
         self.tile_rows = int(tile_rows)
@@ -605,12 +572,9 @@ class ImplicitQMatrix(QMatrixBase):
             if not np.all(np.isfinite(block)):
                 raise DataError("training data contains NaN or infinite values")
             q_bar[start:stop] = kernel_row(self.x_m, block, param.kernel, **kw)
+            del block  # free it before the next read: one block live at a time
         k_mm = kernel_scalar(self.x_m, self.x_m, param.kernel, **kw)
         self._finish_init(y, param, q_bar, k_mm, ridge=ridge)
-
-    @property
-    def num_shards(self) -> int:
-        return 1 if self.shards is None else len(self.shards)
 
     @property
     def pipeline(self):
@@ -629,7 +593,6 @@ class ImplicitQMatrix(QMatrixBase):
                 cache_mb=self._tile_cache_mb,
                 dtype=self.dtype,
                 compute_dtype=self.compute_dtype,
-                shards=self.shards,
             )
         return self._pipeline
 
@@ -661,8 +624,8 @@ class ImplicitQMatrix(QMatrixBase):
             self.cost.charge_matvec()
         if self.param.kernel is not KernelType.LINEAR:
             return self.pipeline.sweep(v)
-        if self.shards is not None:
-            return self._sharded_gram(v[:, None])[:, 0]
+        if self.source is not None:
+            return self._streamed_gram(v[:, None])[:, 0]
         if self.csr is not None:
             return self._csr_gram(v)
         # K_bar @ v == X_bar @ (X_bar.T @ v): two GEMVs, O(m d).
@@ -673,8 +636,8 @@ class ImplicitQMatrix(QMatrixBase):
             self.cost.charge_matvec(V.shape[1])
         if self.param.kernel is not KernelType.LINEAR:
             return self.pipeline.sweep(V)
-        if self.shards is not None:
-            return self._sharded_gram(V)
+        if self.source is not None:
+            return self._streamed_gram(V)
         if self.csr is not None:
             return np.column_stack([self._csr_gram(V[:, j]) for j in range(V.shape[1])])
         # Two GEMMs instead of 2k GEMVs.
@@ -684,34 +647,26 @@ class ImplicitQMatrix(QMatrixBase):
         csr_bar = self.csr.head(self.shape[0])
         return csr_bar.matvec(csr_bar.rmatvec(v))
 
-    def _sharded_gram(self, V: np.ndarray) -> np.ndarray:
-        """Linear ``K_bar @ V`` over the row shards: one ``d``-length allreduce.
+    def _streamed_gram(self, V: np.ndarray) -> np.ndarray:
+        """Linear ``K_bar @ V`` over the row source, one block at a time.
 
-        Phase 1 streams each shard once for its feature-space partial
-        ``X_J^T V_J`` (``d × k``, the only inter-shard communication);
-        phase 2 streams again for the disjoint output rows ``X_B @ w``.
+        Pass 1 sums the feature-space partials ``X_B^T V_B`` in block order;
+        pass 2 writes the disjoint output rows ``X_B @ w``. Each block is
+        read and used in one expression, so no block outlives its product
+        and the next read never overlaps a live block.
         """
-        d = self.X.shape[1]
-        partials = []
-        for shard in self.shards:
-            # The in-shard fold is node-local work, accumulated in block
-            # order (deterministic).
-            local = np.zeros((d, V.shape[1]), dtype=self.dtype)
-            for start, stop, block in self._shard_blocks(shard):
-                local += block.T @ V[start:stop]
-            partials.append(local)
-        w = sum_partials(partials)
-        out = np.empty((self.shape[0], V.shape[1]), dtype=self.dtype)
-        for shard in self.shards:
-            for start, stop, block in self._shard_blocks(shard):
-                out[start:stop] = block @ w
+        n, step = self.shape[0], self.source.block_rows
+        spans = [(start, min(start + step, n)) for start in range(0, n, step)]
+        w = np.zeros((self.X.shape[1], V.shape[1]), dtype=self.dtype)
+        for start, stop in spans:
+            w += self._source_rows(start, stop).T @ V[start:stop]
+        out = np.empty((n, V.shape[1]), dtype=self.dtype)
+        for start, stop in spans:
+            out[start:stop] = self._source_rows(start, stop) @ w
         return out
 
-    def _shard_blocks(self, shard: BlockRange):
-        step = self.source.block_rows
-        for start in range(shard.start, shard.stop, step):
-            stop = min(start + step, shard.stop)
-            yield start, stop, np.asarray(self.source.row_block(start, stop), dtype=self.dtype)
+    def _source_rows(self, start: int, stop: int) -> np.ndarray:
+        return np.asarray(self.source.row_block(start, stop), dtype=self.dtype)
 
 
 def reduced_rhs(y: np.ndarray) -> np.ndarray:
@@ -760,8 +715,6 @@ def build_reduced_system(
     solver_threads: Optional[int] = None,
     tile_cache_mb: Optional[float] = None,
     compute_dtype=None,
-    shard_rows: Optional[int] = None,
-    shard_size: Optional[int] = None,
     ridge: Optional[np.ndarray] = None,
     binary_labels: bool = True,
 ) -> Tuple[ImplicitQMatrix, np.ndarray]:
@@ -775,11 +728,9 @@ def build_reduced_system(
     :mod:`repro.membudget`) clamps the default tile cache.
 
     ``X`` may also be a :class:`repro.sparse.CSRMatrix` or a row source
-    (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``), and
-    ``shard_rows`` / ``shard_size`` partition the operator into row
-    shards. ``ridge`` / ``binary_labels`` pass through to the operator
-    (per-point ridges of the weighted LS-SVM, real-valued regression
-    targets).
+    (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``).
+    ``ridge`` / ``binary_labels`` pass through to the operator (per-point
+    ridges of the weighted LS-SVM, real-valued regression targets).
     """
     q = ImplicitQMatrix(
         X,
@@ -789,8 +740,6 @@ def build_reduced_system(
         solver_threads=solver_threads,
         tile_cache_mb=tile_cache_mb,
         compute_dtype=compute_dtype,
-        num_shards=shard_rows,
-        shard_size=shard_size,
         ridge=ridge,
         binary_labels=binary_labels,
     )

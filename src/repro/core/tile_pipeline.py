@@ -37,13 +37,9 @@ being recomputed for every tile of every sweep.
 
 The point set may be an in-memory array or a row source
 (:class:`repro.io.chunked.ChunkedDataset` / ``ArrayRowSource``, read one
-tile's rows at a time), and the columns may be split into sample shards,
-following Tyree et al.'s row-partitioned scheme: shard ``J`` owns the
-columns ``J`` and the slice ``V[J]``, streams every row tile against its
-columns in ``edge``-wide blocks, and produces a full-length partial
-``K[:, J] @ V[J]``; the partials are combined with the deterministic
-allreduce of :mod:`repro.parallel.reduction`, folded in bounded groups.
-Peak memory stays a few tiles plus O(m) vectors either way.
+tile side's rows at a time). Either way the sweep walks the same triangle
+in the same lanes, so a streamed sweep is bit-identical to the in-memory
+one, and peak memory stays a few tiles plus O(m) vectors.
 
 A ``compute_dtype`` knob adds mixed precision (Glasmachers' observation
 that reduced-precision kernel storage is the cheapest way to double
@@ -63,7 +59,7 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -91,14 +87,10 @@ DEFAULT_TILE_CACHE_MB = 256.0
 #: prediction query tile (32 rows against 8192 support vectors).
 TILE_BYTES = 2 * 1024 * 1024
 
-#: A triangular sweep splits its tiles into this many lanes, each summing
-#: into its own partial output. The count is fixed, not the worker count,
-#: so the fold order (and every result bit) is the same on any pool.
+#: A sweep splits its tiles into this many lanes, each summing into its
+#: own partial output. The count is fixed, not the worker count, so the
+#: fold order (and every result bit) is the same on any pool.
 _SWEEP_LANES = 8
-
-#: A sharded sweep folds its partial outputs through the allreduce once
-#: this many accumulate, bounding the combine step at that many vectors.
-_FOLD_PARTIALS = 8
 
 
 def _prediction_tile_rows(num_points: int, dtype) -> int:
@@ -246,10 +238,10 @@ class TilePipeline:
     cache_mb:
         Byte budget (MiB) of the cross-iteration tile cache. ``0`` disables
         caching; ``None`` uses :data:`DEFAULT_TILE_CACHE_MB`, clamped to a
-        quarter of an active memory budget. When the sweep's tiles (the
-        upper triangle, or every shard's blocks) exceed the budget the
-        cache also stays off (see module docstring) unless
-        ``force_cache=True`` opts into partial LRU caching anyway.
+        quarter of an active memory budget. When the upper triangle's
+        tiles exceed the budget the cache also stays off (see module
+        docstring) unless ``force_cache=True`` opts into partial LRU
+        caching anyway.
     dtype:
         Element type of the sweep *results* (the CG working precision).
     compute_dtype:
@@ -259,10 +251,6 @@ class TilePipeline:
         GEMM bandwidth, while sweep results are still accumulated into
         ``dtype`` so the solver's recursion, reductions, and termination
         test keep their precision. ``None`` keeps tiles in ``dtype``.
-    shards:
-        Sample shards of the columns, as :class:`repro.parallel.BlockRange`
-        index ranges (see module docstring). ``None`` sweeps the upper
-        triangle of tiles over every point.
     """
 
     def __init__(
@@ -279,7 +267,6 @@ class TilePipeline:
         force_cache: bool = False,
         dtype=np.float64,
         compute_dtype=None,
-        shards: Optional[Sequence] = None,
     ) -> None:
         from ..io.chunked import is_row_source  # deferred: io imports core
 
@@ -327,18 +314,6 @@ class TilePipeline:
         self.tiles: List[Tuple[int, int]] = [
             (start, min(start + self.edge, n)) for start in range(0, n, self.edge)
         ]
-        # The edge-wide column blocks of each shard; without shards the
-        # sweep walks the upper triangle (:attr:`_triangle`).
-        self._shard_blocks: Optional[List[List[Tuple[int, int]]]] = None
-        if shards is not None:
-            self._shard_blocks = [
-                [
-                    (c, min(c + self.edge, shard.stop))
-                    for c in range(shard.start, shard.stop, self.edge)
-                ]
-                for shard in shards
-                if len(shard) > 0
-            ]
         # Reusable RBF row norms: computed once, sliced per tile per sweep.
         self.row_norms: Optional[np.ndarray] = None
         if self.kernel is KernelType.RBF:
@@ -358,11 +333,8 @@ class TilePipeline:
                 capacity = min(capacity, budget // 4)
         else:
             capacity = int(cache_mb * 1024 * 1024)
-        if self._shard_blocks is None:
-            # Sum over I <= J of |I| |J|: half of n² plus the diagonal's half.
-            entries = (n * n + sum((stop - start) ** 2 for start, stop in self.tiles)) // 2
-        else:
-            entries = n * sum(c1 - c0 for blocks in self._shard_blocks for c0, c1 in blocks)
+        # Sum over I <= J of |I| |J|: half of n² plus the diagonal's half.
+        entries = (n * n + sum((stop - start) ** 2 for start, stop in self.tiles)) // 2
         working_set = entries * self.compute_dtype.itemsize
         self.cache: Optional[TileCache] = None
         if capacity > 0 and (working_set <= capacity or force_cache):
@@ -376,13 +348,11 @@ class TilePipeline:
     def num_tiles(self) -> int:
         """Tiles evaluated (or replayed from the cache) by one sweep.
 
-        Without shards these are the ``nb (nb + 1) / 2`` upper-triangle
-        tiles of ``nb = ceil(len(points) / edge)`` block rows, each
-        off-diagonal one applied twice.
+        These are the ``nb (nb + 1) / 2`` upper-triangle tiles of
+        ``nb = ceil(len(points) / edge)`` block rows, each off-diagonal one
+        applied twice.
         """
-        if self._shard_blocks is None:
-            return len(self.tiles) * (len(self.tiles) + 1) // 2
-        return len(self.tiles) * sum(len(blocks) for blocks in self._shard_blocks)
+        return len(self.tiles) * (len(self.tiles) + 1) // 2
 
     @functools.cached_property
     def _triangle(self) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
@@ -408,16 +378,11 @@ class TilePipeline:
         return np.asarray(self.points.row_block(start, stop), dtype=self.compute_dtype)
 
     def _tile(
-        self,
-        rows: Tuple[int, int],
-        cols: Tuple[int, int],
-        stats: _SweepStats,
-        col_points: Optional[np.ndarray] = None,
+        self, rows: Tuple[int, int], cols: Tuple[int, int], stats: _SweepStats
     ) -> np.ndarray:
         """Kernel tile of the points ``rows`` against the points ``cols``.
 
-        Served from the cache when enabled; ``col_points`` are the column
-        points in ``compute_dtype`` when the caller has them at hand.
+        Served from the cache when enabled.
         """
         key = (rows[0], cols[0])
         if self.cache is not None:
@@ -431,7 +396,7 @@ class TilePipeline:
         norms = self.row_norms
         tile = kernel_matrix(
             self._rows(*rows),
-            self._rows(*cols) if col_points is None else col_points,
+            self._rows(*cols),
             self.kernel,
             gamma=self.gamma,
             degree=self.degree,
@@ -472,28 +437,6 @@ class TilePipeline:
 
         lanes = [lane for lane in chunk_ranges(len(triangle), _SWEEP_LANES) if len(lane)]
         return self.pool.map_tasks(run, lanes)
-
-    def _sweep_shard(
-        self,
-        blocks: List[Tuple[int, int]],
-        V: np.ndarray,
-        target: np.ndarray,
-        stats: _SweepStats,
-    ) -> None:
-        """``target = K[:, shard] @ V[shard]``, one column block at a time."""
-        for b, block in enumerate(blocks):
-            cols = self._rows(*block)
-            Vb = V[block[0]:block[1]]
-
-            def run(index: int, first: bool = b == 0) -> None:
-                start, stop = rows = self.tiles[index]
-                # Row tiles are disjoint in target, so workers don't race.
-                if first:
-                    target[start:stop] = self._tile(rows, block, stats, cols) @ Vb
-                else:
-                    target[start:stop] += self._tile(rows, block, stats, cols) @ Vb
-
-            self.pool.map_tasks(run, range(len(self.tiles)))
 
     def _operands(self, V, rows: int, out, product: str):
         """Validate ``V`` and ``out``; return ``(V2, out2, result)``.
@@ -553,16 +496,7 @@ class TilePipeline:
         # across fits, so only the sweep caller knows which fit this is.
         ctx = current_context()
         with ctx.span("tile_sweep", tiles=self.num_tiles, columns=k) as span:
-            if self._shard_blocks is None:
-                partials = self._sweep_triangle(V2, stats)
-            else:
-                partials = []
-                for blocks in self._shard_blocks:
-                    partial = np.empty((n, k), dtype=self.dtype)
-                    self._sweep_shard(blocks, V2, partial, stats)
-                    partials.append(partial)
-                    if len(partials) >= _FOLD_PARTIALS:
-                        partials = [sum_partials(partials)]
+            partials = self._sweep_triangle(V2, stats)
             out2[...] = sum_partials(partials) if partials else 0.0
         self.sweeps += 1
 

@@ -24,9 +24,8 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..backends.kernels import KernelConfig
-from ..backends.modeled import ModeledDevices
+from ..backends.modeled import ModeledDevices, node_row_blocks
 from ..parallel.mpi_sim import NetworkSpec
-from ..parallel.partition import chunk_ranges
 from ..simgpu.catalog import default_gpu
 from ..simgpu.device import SimulatedDevice
 from ..simgpu.spec import DeviceSpec
@@ -281,7 +280,7 @@ def model_multinode_run(
     n = num_points - 1
     if n < 1:
         raise ValueError("need at least two data points")
-    row_blocks = [r for r in chunk_ranges(n, num_nodes) if len(r) > 0]
+    row_blocks = node_row_blocks(n, num_nodes)
     nodes = [_fresh_devices(spec, "cuda", gpus_per_node, include_init) for _ in row_blocks]
     run = ModeledDevices(
         nodes,

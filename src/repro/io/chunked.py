@@ -2,22 +2,22 @@
 
 Every earlier code path materialized the full dense ``X`` in host memory, so
 ``m`` was capped by RAM long before compute. This module is the io half of
-the out-of-core tier (ROADMAP "Out-of-core + sample-sharded training"):
+the out-of-core tier:
 
 * :class:`ChunkedDataset` serves row-blocks of a dense on-disk matrix with
   plain buffered reads (seek + read). It deliberately does **not** use
   ``numpy.memmap`` for block iteration — touched mapped pages count toward
   RSS, which would defeat the ``--memory-budget-mb`` proof obligation.
   A hot-block LRU cache bounded by a share of the byte budget keeps the
-  row-sharded solver's repeated sweeps from re-reading blocks that fit;
-  data larger than the cache degrades to pure streaming.
+  streamed operator's repeated sweeps from re-reading data that fits;
+  data larger than the cache is streamed uncached.
 * Text formats (libsvm/csv) are *spilled* once into the PLSB binary layout
   (:mod:`repro.io.binary_format`) next to the source file, using the
   two-pass streaming parsers so the conversion itself stays within one row
   block of memory. Subsequent opens reuse the spill cache when it is newer
   than the source.
 * :class:`ArrayRowSource` adapts an in-memory array to the same row-block
-  interface, so ``ImplicitQMatrix``'s row-shard path and the solvers can
+  interface, so ``ImplicitQMatrix``'s streamed path and the solvers can
   consume either without branching.
 
 Labels are always held in memory (O(m) floats — negligible next to the
@@ -116,9 +116,9 @@ def _resolve_block_rows(
 class ArrayRowSource:
     """Row-block interface over an in-memory dense array.
 
-    Lets the sharded/streaming code paths run on arrays the caller already
-    holds (e.g. ``LSSVC(shard_rows=4)`` on an ndarray): blocks are views,
-    so no data is copied.
+    Lets the streaming code paths run on arrays the caller already holds
+    (e.g. ``LSSVC().fit(ArrayRowSource(X), y)``): blocks are views, so no
+    data is copied.
     """
 
     def __init__(self, X: np.ndarray, *, block_rows: Optional[int] = None) -> None:
@@ -309,8 +309,10 @@ class ChunkedDataset:
     linear path) are served from a hot-block LRU bounded by
     :data:`CACHE_BUDGET_FRACTION` of the byte budget: blocks are stored
     read-only under their ``(start, stop)`` key, so data that fits is
-    read from disk once while larger-than-cache data falls back to pure
-    streaming, never exceeding the bound.
+    read from disk once. Data larger than the cache is never cached (the
+    rule of :class:`repro.core.tile_pipeline.TileCache`): a sequential
+    sweep over it evicts every block before its reuse, and the cached
+    block would only stay alive next to the one being read.
     """
 
     def __init__(
@@ -377,7 +379,8 @@ class ChunkedDataset:
         """Read rows ``[start, stop)`` as a read-only ``(stop-start, d)`` array.
 
         Served from the hot-block LRU when the same range was read before
-        and still fits the cache bound; otherwise one seek + read.
+        and the whole data set fits the cache bound; otherwise one seek +
+        read.
         """
         h = self._header
         start = int(start)
@@ -404,7 +407,7 @@ class ChunkedDataset:
         # frombuffer over bytes is already read-only; keep casts that way
         # too so a cached block can be shared safely between consumers.
         block.flags.writeable = False
-        if 0 < block.nbytes <= self._cache_capacity:
+        if 0 < block.nbytes and self.nbytes_dense <= self._cache_capacity:
             with self._lock:
                 if key not in self._cache:
                     self._cache[key] = block

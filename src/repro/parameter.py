@@ -157,8 +157,8 @@ class ResourceConfig:
 
     Collects the arguments that shape *how* the solve runs — worker
     threads, the kernel-tile cache, mixed precision, fault
-    injection/recovery, and the out-of-core memory budget and row
-    sharding — into one typed object accepted as
+    injection/recovery, and the out-of-core memory budget — into one
+    typed object accepted as
     ``LSSVC(resources=ResourceConfig(...))``.
     """
 
@@ -169,7 +169,6 @@ class ResourceConfig:
     checkpoint_interval: Optional[int] = None
     max_retries: int = 3
     memory_budget_mb: Optional[float] = None
-    shard_rows: Optional[int] = None
 
     fields = ()
 

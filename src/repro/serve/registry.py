@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..core.model import MODEL_TYPES, LSSVMModel, load_model
-from ..exceptions import InvalidParameterError, ModelNotFoundError
+from ..exceptions import InvalidParameterError, ModelFormatError, ModelNotFoundError
 from .engine import PredictionEngine
 
 __all__ = ["ModelRegistry", "DEFAULT_REGISTRY_MB"]
@@ -143,11 +143,13 @@ class ModelRegistry:
     def reload(self, name: str, source: Union[str, Path, LSSVMModel, "FeatureMapModel", None] = None) -> int:
         """Hot-swap ``name``: bump the generation and drop the warm engine.
 
-        With ``source`` this is a plain re-registration; without it the
-        name is rebuilt from its *current* source — the path is re-read
-        (picking up a rewritten model file) or the in-memory model is
-        re-admitted (picking up an in-place ``partial_fit`` mutation).
-        Returns the new generation.
+        With ``source`` this is a re-registration; without it the name is
+        rebuilt from its *current* source — the path is re-read (picking up
+        a rewritten model file) or the in-memory model is re-admitted
+        (picking up an in-place ``partial_fit`` mutation). A path is loaded
+        before the swap: one that cannot be loaded raises
+        :class:`~repro.exceptions.ModelFormatError` and the current
+        generation keeps serving. Returns the new generation.
         """
         if source is None:
             with self._lock:
@@ -155,6 +157,13 @@ class ModelRegistry:
                 if current is None:
                     raise ModelNotFoundError(name)
                 source = current.source
+        if isinstance(source, (str, Path)):
+            try:
+                load_model(source)
+            # Whatever stops the load (a missing path, a directory, bytes
+            # that are no model) refuses the swap instead of breaking it.
+            except Exception as exc:
+                raise ModelFormatError(f"cannot load model {str(source)!r}: {exc}") from exc
         return self.register(name, source)
 
     def unregister(self, name: str) -> None:

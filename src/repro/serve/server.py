@@ -14,6 +14,8 @@ coalesce — and the endpoints speak JSON:
   re-resolve the model from its current source (or an optional new
   ``{"source": path}``) and answer with the new generation; predictions
   issued after the acknowledgement carry a generation at least that high.
+  A source that cannot be loaded is refused with 400 before the swap, so
+  the current generation keeps serving.
 * ``GET /models`` — registry contents with warm/generation state.
 * ``GET /healthz`` — liveness plus model count.
 * ``GET /metrics`` — the :class:`~repro.serve.report.ServingReport`
@@ -299,12 +301,13 @@ class _Handler(BaseHTTPRequestHandler):
         except _RequestError as exc:
             self._error(exc.status, str(exc))
             return
-        source = None
-        if isinstance(payload, dict) and payload.get("source") is not None:
-            source = payload["source"]
-            if not isinstance(source, str):
-                self._error(400, '"source" must be a path string')
-                return
+        if not isinstance(payload, dict):
+            self._error(400, "request body must be a JSON object")
+            return
+        source = payload.get("source")
+        if source is not None and not isinstance(source, str):
+            self._error(400, '"source" must be a path string')
+            return
         try:
             generation = self.app.registry.reload(name, source)
         except ModelNotFoundError:

@@ -154,10 +154,21 @@ class FailureReport:
         return "\n".join(lines)
 
 
-def suggest(objective: str, queue: Dict[str, float], batches: Dict[str, float]) -> str:
+def suggest(
+    objective: str,
+    queue: Dict[str, float],
+    batches: Dict[str, float],
+    *,
+    max_wait_ms: Optional[float] = None,
+) -> str:
     """A mechanical hint from the failure shape — not a diagnosis oracle,
-    but enough to point the follow-on PRs (adaptive batching, fairness,
-    autoscaling) at the right knob."""
+    but enough to point at the right knob (batch deadline, workers,
+    shedding, a compact model).
+
+    ``max_wait_ms`` is the batch policy's deadline when the replay knows
+    it. With none (0) a partial batch leaves as soon as the worker is
+    free, so every such batch counts as a deadline flush while the wait
+    is the worker's backlog, not the deadline."""
     if objective == "reject_rate":
         # Live HTTP replays can't observe the server's queue depth; only
         # quote the numbers when the replay actually measured them.
@@ -170,6 +181,12 @@ def suggest(objective: str, queue: Dict[str, float], batches: Dict[str, float]) 
         )
     if objective in ("latency_p99_ms", "latency_p50_ms"):
         mean_rows = batches.get("mean_rows", 0.0)
+        if max_wait_ms == 0:
+            return (
+                f"batches left as the worker freed up, at {mean_rows:.0f} mean "
+                "rows with no batch deadline; the worker is busy — more "
+                "workers, shed earlier, or a compact model"
+            )
         if batches.get("wait_triggered", 0) > batches.get("count_triggered", 0):
             return (
                 f"batches flushed by deadline at {mean_rows:.0f} mean rows; "

@@ -192,16 +192,16 @@ def grade_replay(
 
     ``queue_budget_rows`` (the policy's ``max_queue_rows``) annotates the
     queue stats so a saturation diagnosis can name the cap it hit; the
-    sim replay carries it in its config, live callers pass it in.
+    sim replay carries it in its config, live callers pass it in. The
+    policy's ``max_wait_ms``, when the config carries it, tells a latency
+    diagnosis whether there is a batch deadline to blame.
     """
     if window_seconds is None:
         window_seconds = max(result.duration / 20.0, 1e-3)
+    policy = result.config.get("policy")
+    policy = policy if isinstance(policy, dict) else {}
     if queue_budget_rows is None:
-        queue_budget_rows = (
-            result.config.get("policy", {}).get("max_queue_rows", 0)
-            if isinstance(result.config.get("policy"), dict)
-            else 0
-        )
+        queue_budget_rows = policy.get("max_queue_rows", 0)
     windows = _build_windows(result, window_seconds)
 
     percentiles = result.percentiles_ms(qs=(50, 99))
@@ -263,7 +263,12 @@ def grade_replay(
                     window=window,
                     queue=queue,
                     batches=batches,
-                    suggestion=suggest(obj.objective, queue, batches),
+                    suggestion=suggest(
+                        obj.objective,
+                        queue,
+                        batches,
+                        max_wait_ms=policy.get("max_wait_ms"),
+                    ),
                 )
             )
         report = FailureReport(

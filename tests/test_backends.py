@@ -315,12 +315,11 @@ class TestDeviceSetChangesNoValue:
             clf = self._fit(X, y, backend=backend)
             assert np.array_equal(clf.model_.alpha, ref.model_.alpha), balanced
 
-    def test_multinode_matches_the_sharded_fit(self, planes):
+    def test_multinode_matches_the_implicit_fit(self, planes):
         from repro.backends.multinode import MultiNodeCSVM
-        from repro.parameter import ResourceConfig
 
         X, y = planes
-        ref = self._fit(X, y, resources=ResourceConfig(shard_rows=2))
+        ref = self._fit(X, y)
         for gpus in (1, 2):
             backend = MultiNodeCSVM(num_nodes=2, gpus_per_node=gpus)
             clf = self._fit(X, y, backend=backend)

@@ -455,23 +455,15 @@ class TestSolverCounters:
 
 @pytest.mark.slow
 def test_bench_solver_harness(tmp_path):
-    """End-to-end smoke of the perf harness at miniature sizes."""
-    import importlib.util
-    from pathlib import Path
+    """End-to-end smoke of the solver campaign at miniature sizes."""
+    from repro.campaign import CampaignRunner, ResultsStore, solver_campaign
 
-    bench_path = Path(__file__).parent.parent / "benchmarks" / "bench_solver.py"
-    spec = importlib.util.spec_from_file_location("bench_solver", bench_path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    out = tmp_path / "bench.json"
-    report = bench.main(
-        [
-            "--points", "200", "--solver-points", "150", "--features", "6",
-            "--classes", "3", "--output", str(out),
-        ]
-    )
-    assert out.exists()
+    spec = solver_campaign(points=200, solver_points=150, features=6, classes=3)
+    store = ResultsStore(tmp_path / "solver.jsonl")
+    run = CampaignRunner(spec, store).run(resume=False)
+    assert not run.failed
+    report = run.report(config=spec.config)
+    assert store.path.exists()
     scenarios = report["scenarios"]
     assert scenarios["single_vs_block"]["block_tile_sweeps"] > 0
     assert scenarios["multiclass"]["shared_accuracy"] > 0.9

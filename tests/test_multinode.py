@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import LSSVC
-from repro.backends.modeled import attach_devices
+from repro.backends.modeled import attach_devices, node_row_blocks
 from repro.backends.multinode import MultiNodeCSVM
 from repro.data import make_planes
 from repro.exceptions import DataError, DeviceError
@@ -110,18 +110,19 @@ class TestSimCommunicator:
 
 
 def _cluster(X, y, param, *, num_nodes, gpus_per_node, tile_rows=1024):
-    """The host operator sharded one row block per node, cluster attached."""
+    """The host operator with a cluster attached, one row block per node."""
     from repro.core.qmatrix import ImplicitQMatrix
 
-    qmat = ImplicitQMatrix(X, y, param, num_shards=num_nodes, tile_rows=tile_rows)
+    qmat = ImplicitQMatrix(X, y, param, tile_rows=tile_rows)
+    row_blocks = node_row_blocks(qmat.shape[0], num_nodes)
     nodes = [
         [
             SimulatedDevice(default_gpu(), "cuda", device_id=k * 100 + g)
             for g in range(gpus_per_node)
         ]
-        for k in range(qmat.num_shards)
+        for k in range(len(row_blocks))
     ]
-    attach_devices(qmat, nodes, network=NetworkSpec())
+    attach_devices(qmat, nodes, row_blocks=row_blocks, network=NetworkSpec())
     return qmat
 
 
@@ -143,7 +144,7 @@ class TestMultiNodeQMatrix:
         dist = _cluster(X, y, rbf_param, num_nodes=3, gpus_per_node=2, tile_rows=7)
         v = np.random.default_rng(1).standard_normal(X.shape[0] - 1)
         assert np.allclose(ref.matvec(v), dist.matvec(v), atol=1e-9)
-        # The overlapping sample-shard partials combine via allreduce and
+        # The overlapping per-node partials are charged one allreduce and
         # foreign tiles are charged as inter-node traffic.
         assert dist.cost.comm.counters["allreduce"] == 1
         assert dist.cost.comm.bytes_moved > 0
@@ -196,6 +197,33 @@ class TestMultiNodeBackend:
         backend = MultiNodeCSVM(num_nodes=nodes, gpus_per_node=2)
         clf = LSSVC(kernel="linear", epsilon=1e-10, backend=backend).fit(X, y)
         assert np.allclose(clf.model_.alpha, ref.model_.alpha, atol=1e-6)
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_bit_identical_to_the_default_fit(self, kernel):
+        """The node row ownership is priced, never computed: 1-4 nodes give
+        the default fit's alpha and bias bit for bit, at pinned charges."""
+        X, y = make_planes(300, 8, rng=3)
+        ref = LSSVC(kernel=kernel, epsilon=1e-8).fit(X, y)
+        # nodes -> (bytes moved, broadcasts, device launches)
+        charges = {
+            "linear": {1: (0, 0, 66), 2: (704, 0, 132), 3: (1408, 0, 198), 4: (2112, 0, 264)},
+            "rbf": {
+                1: (0, 0, 60),
+                2: (645_840, 30, 120),
+                3: (1_291_680, 30, 180),
+                4: (1_937_520, 30, 240),
+            },
+        }[kernel]
+        for nodes, (moved, broadcasts, launches) in charges.items():
+            backend = MultiNodeCSVM(num_nodes=nodes, gpus_per_node=2)
+            clf = LSSVC(kernel=kernel, epsilon=1e-8, backend=backend).fit(X, y)
+            assert np.array_equal(clf.model_.alpha, ref.model_.alpha), nodes
+            assert clf.model_.bias == ref.model_.bias, nodes
+            cost = backend.last_run()
+            assert cost.comm.counters["allreduce"] == clf.iterations_ == ref.iterations_
+            assert cost.comm.bytes_moved == moved
+            assert cost.comm.counters["broadcast"] == broadcasts
+            assert cost.total_device_launches() == launches
 
     def test_memory_per_gpu_shrinks_with_nodes(self):
         X, y = make_planes(512, 64, rng=5)

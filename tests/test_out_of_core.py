@@ -1,4 +1,4 @@
-"""Out-of-core training: chunked streaming, row-sharded CG, memory budget."""
+"""Out-of-core training: chunked streaming, streamed CG, memory budget."""
 
 from __future__ import annotations
 
@@ -241,64 +241,66 @@ class TestChunkedDataset:
         assert as_row_source(src) is src
 
 
+def _in_blocks(X, count):
+    """``X`` as a row source cut into ``count`` blocks (the last one ragged)."""
+    return ArrayRowSource(X, block_rows=-(-X.shape[0] // count))
+
+
 class TestRowShardedQMatrix:
-    """The row-shard partition of ``ImplicitQMatrix`` (Tyree et al.)."""
+    """``ImplicitQMatrix`` over a row source, cut into blocks of any height."""
 
     @pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_matvec_matches_explicit(self, kernel, num_shards):
+    @pytest.mark.parametrize("num_blocks", [1, 2, 7])
+    def test_matvec_matches_explicit(self, kernel, num_blocks):
         X, y = make_planes(90, 6, rng=4)
         param = Parameter(kernel=kernel, cost=3.0, gamma=0.1)
         ref = ExplicitQMatrix(X, y, param)
-        sharded = ImplicitQMatrix(X, y, param, num_shards=num_shards)
-        assert sharded.num_shards == num_shards
+        streamed = ImplicitQMatrix(_in_blocks(X, num_blocks), y, param)
+        assert streamed.source is not None
         v = np.random.default_rng(0).standard_normal(X.shape[0] - 1)
-        np.testing.assert_allclose(sharded.matvec(v), ref.matvec(v), atol=1e-9)
+        np.testing.assert_allclose(streamed.matvec(v), ref.matvec(v), atol=1e-9)
         V = np.random.default_rng(1).standard_normal((X.shape[0] - 1, 3))
         np.testing.assert_allclose(
-            sharded.matvec_multi(V), ref.matvec_multi(V), atol=1e-9
+            streamed.matvec_multi(V), ref.matvec_multi(V), atol=1e-9
         )
 
     def test_shard_size_not_dividing_m(self):
         X, y = make_planes(100, 5, rng=5)
         param = Parameter(kernel="rbf", cost=2.0, gamma=0.2)
         ref = ImplicitQMatrix(X, y, param)
-        sharded = ImplicitQMatrix(X, y, param, shard_size=41)
-        assert [len(s) for s in sharded.shards] == [41, 41, 17]
+        streamed = ImplicitQMatrix(ArrayRowSource(X, block_rows=41), y, param)
+        assert [stop - start for start, stop, _ in streamed.iter_row_blocks()] == [
+            41,
+            41,
+            17,
+        ]
         v = np.ones(99)
-        np.testing.assert_allclose(sharded.matvec(v), ref.matvec(v), atol=1e-9)
-
-    def test_num_shards_and_shard_size_conflict(self):
-        X, y = make_planes(20, 3, rng=0)
-        with pytest.raises(InvalidParameterError, match="mutually exclusive"):
-            ImplicitQMatrix(
-                X, y, Parameter(kernel="linear"), num_shards=2, shard_size=5
-            )
+        assert np.array_equal(streamed.matvec(v), ref.matvec(v))
 
     def test_diagonal_and_kernel_column(self):
         X, y = make_planes(60, 4, rng=6)
         param = Parameter(kernel="rbf", cost=4.0, gamma=0.3)
         ref = ExplicitQMatrix(X, y, param)
-        sharded = ImplicitQMatrix(X, y, param, num_shards=3)
-        np.testing.assert_allclose(sharded.diagonal(), ref.diagonal(), atol=1e-9)
+        streamed = ImplicitQMatrix(_in_blocks(X, 3), y, param)
+        np.testing.assert_allclose(streamed.diagonal(), ref.diagonal(), atol=1e-9)
         for s in (0, 29, 58):
             np.testing.assert_allclose(
-                sharded.kernel_column(s), ref.kernel_column(s), atol=1e-9
+                streamed.kernel_column(s), ref.kernel_column(s), atol=1e-9
             )
 
     def test_nystrom_precond_parity(self):
         X, y = make_planes(80, 5, rng=8)
         param = Parameter(kernel="rbf", cost=5.0, gamma=0.1)
         ref = ExplicitQMatrix(X, y, param)
-        sharded = ImplicitQMatrix(X, y, param, num_shards=4)
+        streamed = ImplicitQMatrix(_in_blocks(X, 4), y, param)
         pe = NystromPrecond.from_qmatrix(ref, rank=16, rng=np.random.default_rng(2))
-        ps = NystromPrecond.from_qmatrix(sharded, rank=16, rng=np.random.default_rng(2))
+        ps = NystromPrecond.from_qmatrix(streamed, rank=16, rng=np.random.default_rng(2))
         v = np.random.default_rng(3).standard_normal(79)
         np.testing.assert_allclose(ps.apply(v), pe.apply(v), atol=1e-9)
 
-    @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_chunked_cg_matches_in_memory_exact_cg(self, tmp_path, num_shards):
-        """Chunk-boundary parity: sharded CG on disk == exact CG in memory."""
+    @pytest.mark.parametrize("num_blocks", [1, 2, 7])
+    def test_chunked_cg_matches_in_memory_exact_cg(self, tmp_path, num_blocks):
+        """Chunk-boundary parity: streamed CG on disk == exact CG in memory."""
         from repro.core.cg import conjugate_gradient
 
         X, y = make_planes(150, 8, rng=10)
@@ -308,9 +310,9 @@ class TestRowShardedQMatrix:
         ref = ExplicitQMatrix(X, y, param)
         b = ref.rhs()
         x_ref = conjugate_gradient(ref, b, epsilon=1e-10).x
-        with ChunkedDataset(path, block_rows=23) as ds:
-            sharded = ImplicitQMatrix(ds, ds.y, param, num_shards=num_shards)
-            x = conjugate_gradient(sharded, sharded.rhs(), epsilon=1e-10).x
+        with ChunkedDataset(path, block_rows=-(-150 // num_blocks)) as ds:
+            streamed = ImplicitQMatrix(ds, ds.y, param)
+            x = conjugate_gradient(streamed, streamed.rhs(), epsilon=1e-10).x
         np.testing.assert_allclose(x, x_ref, atol=1e-6)
 
     def test_build_reduced_system_routes_row_sources(self):
@@ -319,14 +321,6 @@ class TestRowShardedQMatrix:
         qmat, rhs = build_reduced_system(src, y, Parameter(kernel="linear"))
         assert isinstance(qmat, ImplicitQMatrix) and qmat.source is not None
         assert rhs.shape == (39,)
-
-    def test_build_reduced_system_shard_rows_arg(self):
-        X, y = make_planes(40, 4, rng=1)
-        qmat, _ = build_reduced_system(
-            X, y, Parameter(kernel="linear"), shard_rows=3
-        )
-        assert isinstance(qmat, ImplicitQMatrix) and qmat.source is not None
-        assert qmat.num_shards == 3
 
 
 class TestExplicitBudgetGuard:
@@ -366,9 +360,9 @@ class TestLSSVCOutOfCore:
         write_binary_file(path, X, y)
         ref = LSSVC(kernel="rbf", C=4.0, epsilon=1e-8).fit(X, y)
         with ChunkedDataset(path, block_rows=29) as ds:
-            clf = LSSVC(
-                kernel="rbf", C=4.0, epsilon=1e-8, shard_rows=3, memory_budget_mb=64
-            ).fit(ds, ds.y)
+            clf = LSSVC(kernel="rbf", C=4.0, epsilon=1e-8, memory_budget_mb=64).fit(
+                ds, ds.y
+            )
             np.testing.assert_allclose(
                 clf.decision_function(X), ref.decision_function(X), atol=1e-6
             )
@@ -388,11 +382,7 @@ class TestLSSVCOutOfCore:
         X, y = make_planes(64, 6, rng=13)
         return LSSVC(kernel="linear", C=1.0).fit(X, y)
 
-    def test_shard_rows_conflicts(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            LSSVC(shard_rows=2, backend="openmp")
-        with pytest.raises(InvalidParameterError, match="sparse"):
-            LSSVC(shard_rows=2, sparse=True)
+    def test_memory_budget_must_be_positive(self):
         with pytest.raises(InvalidParameterError, match="positive"):
             LSSVC(memory_budget_mb=-1)
 
@@ -418,9 +408,9 @@ class TestLSSVCOutOfCore:
         X, y = make_planes(90, 5, rng=15)
         y3 = np.where(y > 0, 2.0, np.where(X[:, 0] > 0, 1.0, 0.0))
         ref = OneVsAllLSSVC(kernel="rbf", C=3.0, epsilon=1e-8).fit(X, y3)
-        clf = OneVsAllLSSVC(
-            kernel="rbf", C=3.0, epsilon=1e-8, shard_rows=2
-        ).fit(ArrayRowSource(X, block_rows=31), y3)
+        clf = OneVsAllLSSVC(kernel="rbf", C=3.0, epsilon=1e-8).fit(
+            ArrayRowSource(X, block_rows=31), y3
+        )
         np.testing.assert_allclose(
             clf.decision_matrix(X), ref.decision_matrix(X), atol=1e-6
         )
@@ -459,8 +449,6 @@ class TestTrainCLIOutOfCore:
                 "rbf",
                 "--memory-budget-mb",
                 "256",
-                "--shard-rows",
-                "2",
                 "--telemetry-json",
                 str(report_path),
             ],

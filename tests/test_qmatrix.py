@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.modeled import attach_devices, node_row_blocks
 from repro.core.cg import conjugate_gradient, conjugate_gradient_block
 from repro.core.kernels import kernel_matrix
 from repro.core.qmatrix import (
@@ -19,7 +20,11 @@ from repro.core.qmatrix import (
 from repro.data.synthetic import make_planes
 from repro.exceptions import DataError, InvalidParameterError
 from repro.io import ArrayRowSource, ChunkedDataset, write_binary_file
+from repro.parallel.mpi_sim import NetworkSpec
+from repro.parallel.partition import BlockRange
 from repro.parameter import Parameter
+from repro.simgpu.catalog import default_gpu
+from repro.simgpu.device import SimulatedDevice
 from repro.sparse import CSRMatrix
 
 
@@ -209,18 +214,21 @@ class TestProperties:
 # -- one parity matrix for the matrix-free operator ---------------------------
 #
 # ImplicitQMatrix is the only host-side matrix-free operator: the input type
-# (dense / CSR / row source) and the row-shard partition pick how the kernel
-# product is formed. Every combination must agree with the dense Eq. 16
-# system, at 1e-9 for the matvec and 1e-6 for the CG solution.
+# (dense / CSR / row source) picks how the kernel product is formed. The
+# partition axis attaches a modeled cluster whose nodes own those rows; it
+# prices the product and must not change one bit of it. Every combination
+# must agree with the dense Eq. 16 system, at 1e-9 for the matvec and 1e-6
+# for the CG solution.
 
 PARITY_M = 90
 PARITY_INPUTS = ["dense", "csr", "array_source", "chunked"]
+#: partition -> the node row blocks of ``n`` reduced-system rows
 PARITY_PARTITIONS = {
-    "none": {},
-    "shards1": {"num_shards": 1},
-    "shards2": {"num_shards": 2},
-    "shards7": {"num_shards": 7},
-    "size41": {"shard_size": 41},
+    "none": None,
+    "shards1": lambda n: node_row_blocks(n, 1),
+    "shards2": lambda n: node_row_blocks(n, 2),
+    "shards7": lambda n: node_row_blocks(n, 7),
+    "size41": lambda n: [BlockRange(s, min(s + 41, n)) for s in range(0, n, 41)],
 }
 PARITY_CASES = [
     pytest.param(source, partition, kernel, columns, id=f"{source}-{partition}-{kernel}-k{columns}")
@@ -241,13 +249,22 @@ def parity_data(tmp_path_factory):
     return X, y, path
 
 
+def _attach_cluster(op, row_blocks):
+    """A modeled cluster over ``op``: one single-GPU node per row block."""
+    nodes = [
+        [SimulatedDevice(default_gpu(), "cuda", device_id=k)]
+        for k in range(len(row_blocks))
+    ]
+    attach_devices(op, nodes, row_blocks=row_blocks, network=NetworkSpec())
+
+
 class TestOperatorParity:
     @pytest.mark.parametrize("source,partition,kernel,columns", PARITY_CASES)
     def test_matches_explicit(self, parity_data, source, partition, kernel, columns):
         X, y, path = parity_data
         param = Parameter(kernel=kernel, cost=3.0, gamma=0.1)
         ref = ExplicitQMatrix(X, y, param)
-        kwargs = PARITY_PARTITIONS[partition]
+        blocks = PARITY_PARTITIONS[partition]
         rng = np.random.default_rng(columns)
         V = rng.standard_normal((PARITY_M - 1, columns))
         if columns == 1:
@@ -262,26 +279,29 @@ class TestOperatorParity:
                 "csr": CSRMatrix.from_dense(X),
                 "array_source": ArrayRowSource(X, block_rows=17),
             }[source]
-        with_shards = bool(kwargs) or source in ("array_source", "chunked")
         try:
-            # 16-row tiles: several row tiles, and several column blocks
-            # per shard, so block accumulation is exercised too.
-            op = ImplicitQMatrix(data, y, param, tile_rows=16, **kwargs)
-            assert (op.source is not None) == with_shards
-            if "num_shards" in kwargs:
-                assert op.num_shards == kwargs["num_shards"]
-            if "shard_size" in kwargs:
-                assert [len(s) for s in op.shards] == [41, 41, 7]
+            # 16-row tiles: smaller than a row block, so a tile's rows
+            # straddle block edges.
+            op = ImplicitQMatrix(data, y, param, tile_rows=16)
+            assert (op.source is not None) == (source in ("array_source", "chunked"))
+            bare = ImplicitQMatrix(data, y, param, tile_rows=16)
+            if blocks is not None:
+                row_blocks = blocks(PARITY_M - 1)
+                if partition == "size41":
+                    assert [len(b) for b in row_blocks] == [41, 41, 7]
+                _attach_cluster(op, row_blocks)
             if columns == 1:
-                np.testing.assert_allclose(op.matvec(V), ref.matvec(V), atol=1e-9)
+                product = op.matvec(V)
                 x = conjugate_gradient(op, rhs, epsilon=1e-10).x
                 x_ref = conjugate_gradient(ref, rhs, epsilon=1e-10).x
+                assert np.array_equal(product, bare.matvec(V))
+                np.testing.assert_allclose(product, ref.matvec(V), atol=1e-9)
             else:
-                np.testing.assert_allclose(
-                    op.matvec_multi(V), ref.matvec_multi(V), atol=1e-9
-                )
+                product = op.matvec_multi(V)
                 x = conjugate_gradient_block(op, rhs, epsilon=1e-10).X
                 x_ref = conjugate_gradient_block(ref, rhs, epsilon=1e-10).X
+                assert np.array_equal(product, bare.matvec_multi(V))
+                np.testing.assert_allclose(product, ref.matvec_multi(V), atol=1e-9)
         finally:
             if source == "chunked":
                 data.close()
@@ -292,7 +312,40 @@ class TestOperatorParity:
         with pytest.raises(InvalidParameterError, match="linear kernel"):
             ImplicitQMatrix(CSRMatrix.from_dense(X), y, Parameter(kernel="rbf", gamma=0.1))
 
-    def test_num_shards_with_shard_size_rejected(self, parity_data):
-        X, y, _ = parity_data
-        with pytest.raises(InvalidParameterError, match="mutually exclusive"):
-            ImplicitQMatrix(X, y, Parameter(kernel="linear"), num_shards=2, shard_size=5)
+
+
+class TestOneSweepForEveryInput:
+    """The non-linear kernels sweep one triangle whatever holds the points:
+    an array, an ``ArrayRowSource`` and a ``ChunkedDataset`` give the same
+    bits for the product, the CG solution and the bias. The row blocks
+    (17 and 23 rows) do not divide m, and the 16-row tiles are smaller
+    than a block."""
+
+    @pytest.mark.parametrize("kernel", ["polynomial", "rbf"])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_bit_identical_across_inputs(self, parity_data, kernel, columns):
+        X, y, path = parity_data
+        param = Parameter(kernel=kernel, cost=3.0, gamma=0.1)
+        V = np.random.default_rng(columns).standard_normal((PARITY_M - 1, columns))
+        targets = np.column_stack(
+            [y, np.where(X[:, 0] > 0, 1.0, -1.0), np.where(X[:, 1] > 0, 1.0, -1.0)]
+        )
+        outcomes = []
+        with ChunkedDataset(path, block_rows=23) as chunked:
+            for data in (X, ArrayRowSource(X, block_rows=17), chunked):
+                op = ImplicitQMatrix(data, y, param, tile_rows=16)
+                if columns == 1:
+                    product = op.matvec(V[:, 0])
+                    x = conjugate_gradient(op, op.rhs(), epsilon=1e-10).x
+                    alpha, bias = recover_bias_and_alpha(op, x)
+                else:
+                    product = op.matvec_multi(V)
+                    X_sol = conjugate_gradient_block(
+                        op, reduced_rhs(targets), epsilon=1e-10
+                    ).X
+                    alpha, bias = recover_bias_and_alpha(op, X_sol, targets[-1])
+                outcomes.append((product, alpha, np.asarray(bias)))
+        dense, *streamed = outcomes
+        for other in streamed:
+            for got, want in zip(other, dense):
+                assert np.array_equal(got, want)

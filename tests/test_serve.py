@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.lssvm import LSSVC
+from repro.core.model import load_model, save_model
 from repro.core.multiclass import OneVsAllLSSVC
 from repro.exceptions import (
     DataError,
@@ -482,6 +483,22 @@ HOSTILE_PREDICT_REQUESTS = {
     "over_cap_length": (b"", MAX_BODY_BYTES + 1, 413),
 }
 
+#: case -> (body, Content-Length override, expected status) of a
+#: ``/models/planes/reload``; ``{dir}`` stands for a directory holding
+#: ``notes.txt`` (text, not a model) and ``garbage.bin`` (not text).
+HOSTILE_RELOAD_REQUESTS = {
+    "malformed_json": (b'{"source": ', None, 400),
+    "non_object": (b'["planes.model"]', None, 400),
+    "scalar_body": (b"7", None, 400),
+    "source_not_a_string": (b'{"source": 7}', None, 400),
+    "missing_file": (b'{"source": "{dir}/missing.model"}', None, 400),
+    "not_a_model": (b'{"source": "{dir}/notes.txt"}', None, 400),
+    "not_text": (b'{"source": "{dir}/garbage.bin"}', None, 400),
+    "directory": (b'{"source": "{dir}"}', None, 400),
+    "negative_length": (b"", -1, 400),
+    "over_cap_length": (b"", MAX_BODY_BYTES + 1, 413),
+}
+
 
 class TestHTTPServer:
     def test_healthz(self, http_server):
@@ -563,6 +580,37 @@ class TestHTTPServer:
             else:
                 assert "connection: close" in head
                 assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_RELOAD_REQUESTS))
+    def test_hostile_reload_input_4xx(self, http_server, tmp_path, case):
+        """Each hostile reload gets a 4xx with a JSON error body and swaps
+        nothing: generation 0 still answers a good /predict afterwards."""
+        base, model, X = http_server
+        (tmp_path / "notes.txt").write_text("not a model\n")
+        (tmp_path / "garbage.bin").write_bytes(bytes(range(128, 256)))
+        body, length, status = HOSTILE_RELOAD_REQUESTS[case]
+        body = body.replace(b"{dir}", str(tmp_path).encode())
+        with socket.create_connection(_address(base), timeout=5.0) as sock:
+            sock.sendall(_raw_post(body, length, path=b"/models/planes/reload"))
+            got, _, payload = _read_response(sock)
+        assert got == status
+        assert payload["status"] == status and payload["error"]
+        got, payload = _post(f"{base}/predict", {"row": X[0].tolist()})
+        assert got == 200
+        assert payload["generation"] == 0
+        assert payload["decision_values"] == [model.decision_function(X[:1])[0]]
+
+    def test_reload_from_a_model_file(self, http_server, tmp_path):
+        """A loadable path swaps in: the next /predict is its generation."""
+        base, model, X = http_server
+        path = tmp_path / "planes.model"
+        save_model(model, path)
+        status, payload = _post(f"{base}/models/planes/reload", {"source": str(path)})
+        assert (status, payload["generation"]) == (200, 1)
+        status, payload = _post(f"{base}/predict", {"row": X[0].tolist()})
+        assert (status, payload["generation"]) == (200, 1)
+        expected = load_model(path).decision_function(X[:1])[0]
+        assert payload["decision_values"] == [expected]
 
     def test_unknown_path_404(self, http_server):
         base, _, _ = http_server

@@ -287,6 +287,20 @@ class TestSimulation:
         assert worst["suggestion"]
         assert "violated" in report.summary
 
+    def test_no_deadline_latency_failure_names_the_busy_worker(self):
+        """Under the 0 ms default every partial batch counts as a deadline
+        flush, but there is no deadline to lower: the report must blame
+        the worker, not max_wait_ms."""
+        trace = compile_trace("bursty", seed=7, rate=200.0, burst_multiplier=10.0)
+        result = simulate_replay(trace, service=ServiceModel(2.0, 0.5))
+        assert result.config["policy"]["max_wait_ms"] == 0.0
+        grade = grade_replay(result, SLO(p99_ms=20.0))
+        worst = grade.failure_report.failures[0]
+        assert worst.objective == "latency_p99_ms"
+        assert worst.batches["wait_triggered"] > worst.batches["count_triggered"]
+        assert "max_wait_ms" not in worst.suggestion
+        assert "worker is busy" in worst.suggestion
+
     def test_failure_report_rejects_malformed(self):
         grade = grade_replay(_stress_result(), SLO(p99_ms=50.0))
         data = grade.failure_report.as_dict()
